@@ -2,10 +2,12 @@
 models, including linearized Bregman, singular value thresholding, and
 strongly convex RPCA as instances."""
 
-from ._kernels import COMPILED as KERNEL_COMPILED
 from .linop import BlockSum, Dense, Point, SamplingMask
 from .prox import NormSpec
 from .solver import ProblemSpec, SolveConfig, solve, solve_accelerated
+
+# Kept for callers that record the build: the package has no compiled code.
+KERNEL_COMPILED = False
 
 __all__ = [
     "KERNEL_COMPILED",

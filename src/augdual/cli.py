@@ -14,7 +14,8 @@ Subcommands:
 
 Randomness comes from numpy's default PCG64 generator seeded per instance,
 so instances are reproducible bit for bit. Exit codes: 0 success, 2
-configuration error, 3 suspected infeasible, 4 max_iter without tolerance.
+configuration error, 3 suspected infeasible, 4 max_iter without tolerance,
+5 numerical failure (an SVD that does not converge).
 """
 
 from __future__ import annotations
@@ -38,15 +39,22 @@ from .models import (
     build_problem,
     tau_heuristic,
 )
-from .numerics import operator_norm_estimate
 from .oracle import kkt_residual
 from .prox import NormSpec, moreau_residual, prox_norm
-from .solver import ConfigurationError, SolveConfig, SolveTrace, solve
+from .solver import (
+    ConfigurationError,
+    SolveConfig,
+    SolveTrace,
+    default_step_size,
+    estimated_bound,
+    solve,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_MAX_ITER = 4
+EXIT_NUMERICAL = 5
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits: exact round trip for doubles
 
@@ -297,9 +305,9 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         accelerated=bool(solve_cfg.get("accelerated", False)),
         restart=bool(solve_cfg.get("restart", True)),
     )
-    norm_bound = operator_norm_estimate(problem.op) * 1.01
-    h_used = config.h if config.h is not None else problem.mu / (
-        problem.tau * norm_bound**2
+    norm_bound = estimated_bound(problem)
+    h_used = (
+        config.h if config.h is not None else default_step_size(problem, norm_bound)
     )
 
     start = time.perf_counter()
@@ -489,6 +497,11 @@ def main(argv=None) -> int:
             )
             return EXIT_OK
         return run_props(args.seed)
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError subclasses ValueError; catch it first so a failed SVD
+        # is not reported as a configuration error.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigurationError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

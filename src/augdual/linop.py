@@ -45,14 +45,7 @@ class Point:
 
     @property
     def size(self) -> int:
-        kind, shp = self.tag
-        if kind == "vector":
-            return int(shp)
-        if kind == "matrix":
-            return int(shp[0] * shp[1])
-        if kind == "pair":
-            return int(2 * shp[0] * shp[1])
-        raise ValueError(f"unknown shape tag {self.tag!r}")
+        return _tag_size(self.tag)
 
     @staticmethod
     def vector(values) -> "Point":

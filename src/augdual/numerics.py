@@ -1,8 +1,8 @@
-"""Dense linear-algebra kernels: full SVD and operator-norm estimation.
+"""Dense linear-algebra kernels: thin SVD and operator-norm estimation.
 
-The SVD is a one-sided (Hestenes) Jacobi factorization: deterministic for a
-fixed input, accurate at desk scale, and hot enough in the singular-value
-thresholding loop to justify the compiled kernel (see augdual._kernels).
+The SVD is LAPACK's divide-and-conquer routine (``np.linalg.svd``) plus a
+relative clamp of negligible singular values, so rank decisions in the
+singular-value thresholding loop are stable.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_rotate
 from .linop import LinearOperator, random_point
-
-# Relative Jacobi off-diagonal tolerance and sweep cap. Convergence is
-# quadratic; 100 sweeps is far beyond anything needed at desk scale.
-_JACOBI_TOL = 5e-15
-_MAX_SWEEPS = 100
 
 # Singular values below this fraction of the largest are clamped to zero to
 # stabilize rank decisions.
@@ -39,61 +33,22 @@ class SvdResult:
 
 
 def svd(m) -> SvdResult:
-    """One-sided Jacobi SVD of a dense matrix.
+    """Thin SVD of a dense matrix via LAPACK.
 
     For an r-by-c input, u is r-by-k and v is c-by-k with k = min(r, c).
-    Raises ValueError on non-finite input.
+    Singular values below RANK_CLAMP times the largest are set to zero.
+    Raises ValueError on non-finite input and np.linalg.LinAlgError (a
+    ValueError subclass) when LAPACK does not converge.
     """
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2:
         raise ValueError("svd needs a 2-D matrix")
     if not np.all(np.isfinite(mat)):
         raise ValueError("svd input must be finite")
-    if mat.shape[0] >= mat.shape[1]:
-        u, s, v = _svd_tall(mat)
-    else:
-        v, s, u = _svd_tall(mat.T)
-    return SvdResult(u=u, s=s, v=v)
-
-
-def _svd_tall(mat: np.ndarray):
-    """SVD of a matrix with rows >= cols."""
-    n, k = mat.shape
-    a = np.ascontiguousarray(mat.copy())
-    v = np.ascontiguousarray(np.eye(k))
-    jacobi_rotate(a, v, _JACOBI_TOL, _MAX_SWEEPS)
-
-    s = np.linalg.norm(a, axis=0)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    a = a[:, order]
-    v = v[:, order]
-
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if s[0] > 0:
         s = np.where(s < RANK_CLAMP * s[0], 0.0, s)
-    u = np.zeros((n, k))
-    nonzero = s > 0
-    u[:, nonzero] = a[:, nonzero] / np.where(s[nonzero] == 0, 1.0, s[nonzero])
-    # Columns belonging to exactly-zero norms carry no direction; complete
-    # them to an orthonormal basis from canonical vectors.
-    _complete_basis(u, int(np.count_nonzero(nonzero)))
-    return u, s, v
-
-
-def _complete_basis(u: np.ndarray, rank: int):
-    n, k = u.shape
-    col = rank
-    for basis in range(n):
-        if col >= k:
-            return
-        cand = np.zeros(n)
-        cand[basis] = 1.0
-        for _ in range(2):
-            cand -= u[:, :col] @ (u[:, :col].T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 0.5:
-            u[:, col] = cand / nrm
-            col += 1
+    return SvdResult(u=u, s=s, v=vt.T)
 
 
 def power_iteration(
@@ -132,7 +87,13 @@ def power_iteration(
 def operator_norm_estimate(
     op: LinearOperator, tol: float = 1e-12, max_iter: int = 5000, seed: int = 0
 ) -> float:
-    """Largest-singular-value estimate of ``op`` (lower bound up to tol)."""
+    """Largest-singular-value estimate of ``op`` by power iteration.
+
+    The value is a lower bound on ||A||. ``tol`` bounds the relative change
+    of the Rayleigh quotient between consecutive iterations, not the error
+    of the estimate, which can be larger than ``tol`` when the top singular
+    values are close. A RuntimeWarning flags a run that hit ``max_iter``.
+    """
     value, converged, _ = power_iteration(op, tol, max_iter, seed)
     if not converged:
         warnings.warn(

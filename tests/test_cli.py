@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from augdual import numerics
 from augdual.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITER,
+    EXIT_NUMERICAL,
     EXIT_OK,
     InstanceSpec,
     emit_trace,
@@ -211,6 +213,28 @@ def test_main_config_exit_code(tmp_path):
     _write_json(cfg_path, {"tau": {"rule": "heuristic"}})
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    def failing_svd(m):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(numerics, "svd", failing_svd)
+    cfg_path = tmp_path / "config.json"
+    _write_json(
+        cfg_path,
+        {
+            "instance": {"kind": "matrix_completion", "seed": 1, "rows": 4,
+                         "cols": 3, "rank": 1, "p": 0.8},
+            "tau": {"value": 10.0},
+            "solve": {"max_iter": 5},
+            "output": {},
+        },
+    )
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "configuration error" not in err
 
 
 def test_main_props(capsys):
