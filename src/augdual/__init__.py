@@ -4,7 +4,7 @@ strongly convex RPCA as instances."""
 
 from .linop import BlockSum, Dense, Point, SamplingMask
 from .prox import NormSpec
-from .solver import ProblemSpec, SolveConfig, solve, solve_accelerated
+from .solver import ProblemSpec, SolveConfig, solve
 
 # Kept for callers that record the build: the package has no compiled code.
 KERNEL_COMPILED = False
@@ -19,7 +19,6 @@ __all__ = [
     "ProblemSpec",
     "SolveConfig",
     "solve",
-    "solve_accelerated",
 ]
 
 __version__ = "0.1.0"

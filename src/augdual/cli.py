@@ -15,7 +15,8 @@ Subcommands:
 Randomness comes from numpy's default PCG64 generator seeded per instance,
 so instances are reproducible bit for bit. Exit codes: 0 success, 2
 configuration error, 3 suspected infeasible, 4 max_iter without tolerance,
-5 numerical failure (an SVD that does not converge).
+5 numerical failure (an SVD that does not converge, or a non-finite
+iterate or residual).
 """
 
 from __future__ import annotations
@@ -232,8 +233,6 @@ def emit_trace(trace: SolveTrace, path):
 
 def read_trace(path) -> SolveTrace:
     """Read back a CSV written by emit_trace."""
-    from .solver import TraceRecord
-
     trace = SolveTrace()
     with open(path) as fh:
         header = fh.readline().strip()
@@ -241,9 +240,7 @@ def read_trace(path) -> SolveTrace:
             raise ValueError(f"unexpected trace header in {path}")
         for line in fh:
             k, pr, dobj, xc, yc = line.strip().split(",")
-            trace.records.append(
-                TraceRecord(int(k), float(pr), float(dobj), float(xc), float(yc))
-            )
+            trace.append(int(k), float(pr), float(dobj), float(xc), float(yc))
     return trace
 
 
@@ -359,6 +356,8 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         return report, EXIT_INFEASIBLE
     if trace.termination == "max_iter":
         return report, EXIT_MAX_ITER
+    if trace.termination == "numerical_failure":
+        return report, EXIT_NUMERICAL
     return report, EXIT_OK
 
 

@@ -10,7 +10,9 @@ A gauge is described by one of three variants:
   active-set iteration over the vertices.
 
 The generalized Moreau decomposition v = gauge_prox(v) + polar_project(v)
-turns the polar projection into a prox for arbitrary gauges.
+turns the polar projection into a prox for arbitrary gauges. Each variant
+is a Gauge, whose prox and polar_project methods are the solver's
+regularizer protocol.
 """
 
 from __future__ import annotations
@@ -44,13 +46,27 @@ class PolytopeProjectionError(RuntimeError):
         self.requested = requested
 
 
+class Gauge:
+    """Regularizer protocol of the gauge variants: prox via the generalized
+    Moreau decomposition and projection onto the polar set. Gauge problems
+    fix mu = tau."""
+
+    fixes_mu = True
+
+    def prox(self, v: Point, scale: float) -> Point:
+        return gauge_prox(self, v, scale)
+
+    def polar_project(self, v: Point) -> Point:
+        return polar_project(self, v)
+
+
 @dataclass(frozen=True, eq=False)
-class NormGauge:
+class NormGauge(Gauge):
     norm: NormSpec
 
 
 @dataclass(frozen=True, eq=False)
-class DiagWeighted:
+class DiagWeighted(Gauge):
     weights: np.ndarray
 
     def __post_init__(self):
@@ -61,7 +77,7 @@ class DiagWeighted:
 
 
 @dataclass(frozen=True, eq=False)
-class PolyhedralPolar:
+class PolyhedralPolar(Gauge):
     """Polar set C° = conv(vertices + {0}); vertices is a (k, d) array.
 
     The origin is always adjoined, matching a gauge generated by a closed

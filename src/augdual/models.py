@@ -15,10 +15,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import numerics
 from .gauge import GaugeSpec
 from .linop import BlockSum, Dense, LinearOperator, Point, SamplingMask
 from .prox import NormSpec, soft_threshold, svt
-from .numerics import svd
 from .solver import ProblemSpec
 
 
@@ -101,20 +101,13 @@ class RpcaRegularizer:
 
     def prox(self, v: Point, scale: float) -> Point:
         left, right = v.as_pair()
-        return Point.pair(svt_or_zero(left, scale), soft_threshold(right, scale * self.lam))
+        return Point.pair(svt(left, scale), soft_threshold(right, scale * self.lam))
 
     def polar_project(self, v: Point) -> Point:
         left, right = v.as_pair()
-        res = svd(left)
+        res = numerics.svd(left)
         clamped = (res.u * np.minimum(res.s, 1.0)) @ res.v.T
         return Point.pair(clamped, np.clip(right, -self.lam, self.lam))
-
-
-def svt_or_zero(mat: np.ndarray, threshold: float) -> np.ndarray:
-    """svt with an exact shortcut for threshold <= 0 (plain copy)."""
-    if threshold <= 0:
-        return mat.copy()
-    return svt(mat, threshold)
 
 
 def build_problem(model) -> ProblemSpec:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linop import Point
-from .solver import ProblemSpec, regularizer_prox
+from .solver import ProblemSpec, primal_from_dual
 
 _SOLVE_RTOL = 1e-9
 _SIGN_TOL = 1e-12
@@ -46,8 +46,7 @@ def kkt_residual(p: ProblemSpec, x: Point, y: Point) -> KktReport:
     solution set and subsumes the subdifferential inclusion.
     """
     feas = (p.op.apply(x) - p.b).norm()
-    w = p.op.adjoint(y) * (1.0 / p.mu)
-    stat = (x - p.tau * regularizer_prox(p.regularizer, w, 1.0)).norm()
+    stat = (x - primal_from_dual(p, y)[0]).norm()
     return KktReport(feasibility=feas, stationarity=stat)
 
 

@@ -37,6 +37,12 @@ class NormSpec:
                 raise ValueError("weights must be strictly positive and finite")
             object.__setattr__(self, "weights", w)
 
+    def prox(self, v: Point, scale: float) -> Point:
+        return prox_norm(self, v, scale)
+
+    def polar_project(self, v: Point) -> Point:
+        return dual_ball_project(self, v)
+
 
 def _weights(norm: NormSpec, size: int) -> np.ndarray:
     if norm.weights is None:

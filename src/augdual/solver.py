@@ -4,21 +4,22 @@ The dual objective D(y) = -<y, b> + (tau*mu/2) * dist(A*y/mu, K)^2 is
 smooth (K is the dual-norm ball, or the polar set for gauge problems); its
 gradient is -b + A(tau * prox(A*y/mu)). Plain gradient descent on D in
 primal-dual form is the linearized Bregman iteration for the l1 model and
-singular value thresholding for matrix completion. An accelerated variant
-adds Nesterov momentum with adaptive restart.
+singular value thresholding for matrix completion. The accelerated variant
+adds Nesterov momentum with adaptive restart; both run in one loop.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import gauge as gauge_mod
 from . import numerics
-from . import prox as prox_mod
 from .linop import LinearOperator, Point
 
 # Stagnation window for suspected-infeasible detection: the feasibility
@@ -36,10 +37,10 @@ class ConfigurationError(ValueError):
 class ProblemSpec:
     """One augmented model instance (operator, data, regularizer, tau, mu).
 
-    The regularizer is a NormSpec, a GaugeSpec, or any object exposing
-    prox(point, scale) and polar_project(point) (the RPCA block regularizer
-    does). Gauge problems fix mu = tau, which makes the gauge iteration and
-    the norm iteration share one code path.
+    The regularizer is any object exposing prox(point, scale) and
+    polar_project(point): a NormSpec, a gauge, or the RPCA block
+    regularizer. Gauge problems (``fixes_mu``) fix mu = tau, which makes the
+    gauge iteration and the norm iteration share one code path.
     """
 
     op: LinearOperator
@@ -51,15 +52,14 @@ class ProblemSpec:
     def __post_init__(self):
         if self.b.tag != self.op.codomain_tag:
             raise ValueError("b shape does not match operator codomain")
+        if not math.isfinite(self.b.norm()):
+            raise ValueError("||b|| overflows to inf; rescale the data")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ValueError("mu must be finite and positive")
-        if isinstance(self.regularizer, gauge_mod.PolyhedralPolar) or isinstance(
-            self.regularizer, (gauge_mod.NormGauge, gauge_mod.DiagWeighted)
-        ):
-            if self.mu != self.tau:
-                raise ValueError("gauge problems fix mu = tau")
+        if getattr(self.regularizer, "fixes_mu", False) and self.mu != self.tau:
+            raise ValueError("gauge problems fix mu = tau")
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,11 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class DualState:
-    """Iterate of the primal-dual iteration: x = tau*prox(A*y_prev/mu) and
-    z the matching dual-ball/polar point."""
+    """Iterate of the primal-dual iteration: x = tau*prox(A*y_prev/mu)."""
 
     k: int
     y: Point
     x: Point
-    z: Point
 
 
 @dataclass(slots=True)
@@ -105,40 +103,68 @@ class TraceRecord:
     y_change: float
 
 
-@dataclass
 class SolveTrace:
-    records: List[TraceRecord] = field(default_factory=list)
-    termination: str = "max_iter"
+    """Per-iteration trace and termination reason.
+
+    The columns live in typed buffers (40 bytes per iteration); ``records``
+    is a read-only sequence that builds a TraceRecord per row on access.
+    """
+
+    def __init__(self, records: Iterable[TraceRecord] = (), termination: str = "max_iter"):
+        self.termination = termination
+        # One buffer per TraceRecord field, in field order.
+        self._columns = (array("q"),) + tuple(array("d") for _ in range(4))
+        for rec in records:
+            self.append(rec.k, rec.primal_residual, rec.dual_objective, rec.x_change,
+                        rec.y_change)
+
+    def append(self, k: int, primal_residual: float, dual_objective: float,
+               x_change: float, y_change: float) -> None:
+        row = (k, primal_residual, dual_objective, x_change, y_change)
+        for col, value in zip(self._columns, row):
+            col.append(value)
+
+    @property
+    def records(self) -> "Sequence[TraceRecord]":
+        return _TraceRows(self._columns)
+
+
+class _TraceRows(Sequence):
+    def __init__(self, columns: tuple):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i: int) -> TraceRecord:
+        i = range(len(self))[i]  # integer index only; raises IndexError
+        return TraceRecord(*(col[i] for col in self._columns))
+
+    def __iter__(self):
+        return map(TraceRecord, *self._columns)
 
 
 def regularizer_prox(reg, v: Point, scale: float) -> Point:
-    if isinstance(reg, prox_mod.NormSpec):
-        return prox_mod.prox_norm(reg, v, scale)
-    if isinstance(reg, (gauge_mod.NormGauge, gauge_mod.DiagWeighted, gauge_mod.PolyhedralPolar)):
-        return gauge_mod.gauge_prox(reg, v, scale)
     return reg.prox(v, scale)
 
 
-def regularizer_polar_project(reg, v: Point) -> Point:
-    if isinstance(reg, prox_mod.NormSpec):
-        return prox_mod.dual_ball_project(reg, v)
-    if isinstance(reg, (gauge_mod.NormGauge, gauge_mod.DiagWeighted, gauge_mod.PolyhedralPolar)):
-        return gauge_mod.polar_project(reg, v)
-    return reg.polar_project(v)
+def primal_from_dual(p: ProblemSpec, y: Point) -> Tuple[Point, Point]:
+    """x = tau*prox(A*y/mu), and w = A*y/mu itself."""
+    w = p.op.adjoint(y) * (1.0 / p.mu)
+    return p.tau * regularizer_prox(p.regularizer, w, 1.0), w
 
 
 def dual_objective(p: ProblemSpec, y: Point) -> float:
     """D(y) = -<y, b> + (tau*mu/2) * ||A*y/mu - z||^2 with z the projection
     of A*y/mu onto the dual ball / polar set."""
     w = p.op.adjoint(y) * (1.0 / p.mu)
-    z = regularizer_polar_project(p.regularizer, w)
+    z = p.regularizer.polar_project(w)
     return -y.dot(p.b) + 0.5 * p.tau * p.mu * (w - z).dot(w - z)
 
 
 def dual_gradient(p: ProblemSpec, y: Point) -> Point:
     """grad D(y) = -b + A(tau * prox(A*y/mu))."""
-    w = p.op.adjoint(y) * (1.0 / p.mu)
-    x = p.tau * regularizer_prox(p.regularizer, w, 1.0)
+    x, _ = primal_from_dual(p, y)
     return p.op.apply(x) - p.b
 
 
@@ -182,29 +208,23 @@ def _initial_state(p: ProblemSpec, c: SolveConfig) -> Point:
     return Point.zeros(p.op.codomain_tag)
 
 
-def _primal_from_dual(p: ProblemSpec, y: Point) -> Tuple[Point, Point, Point]:
-    """x = tau*prox(A*y/mu), the matching z with x = (tau/mu)(A*y - mu z),
-    and w = A*y/mu itself."""
-    w = p.op.adjoint(y) * (1.0 / p.mu)
-    x = p.tau * regularizer_prox(p.regularizer, w, 1.0)
-    z = w - (1.0 / p.tau) * x
-    return x, z, w
-
-
 def step(p: ProblemSpec, s: DualState, h: float) -> DualState:
     """One primal-dual iteration: x = tau*prox(A*y/mu); y += h(b - Ax)."""
-    x, z, _ = _primal_from_dual(p, s.y)
-    y_next = s.y + h * (p.b - p.op.apply(x))
-    return DualState(k=s.k + 1, y=y_next, x=x, z=z)
+    x, _ = primal_from_dual(p, s.y)
+    return DualState(k=s.k + 1, y=s.y + h * (p.b - p.op.apply(x)), x=x)
 
 
-def _trace_objective(p: ProblemSpec, y: Point, x: Point) -> float:
+def _norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
+
+
+def _trace_objective(p: ProblemSpec, y: np.ndarray, x: np.ndarray) -> float:
     # D(y) via the Moreau identity ||w - z|| = ||x|| / tau; avoids a second
     # projection (and a second SVD) per iteration.
-    return -y.dot(p.b) + 0.5 * (p.mu / p.tau) * x.dot(x)
+    return -float(y @ p.b.data) + 0.5 * (p.mu / p.tau) * float(x @ x)
 
 
-def _stalled(residuals: "deque[float]", adjoints: "deque[Point]") -> bool:
+def _stalled(residuals: "deque[float]", adjoints: "deque[np.ndarray]") -> bool:
     # Inconsistent data makes both the residual norm and A*y settle (y keeps
     # growing along a direction in the null space of A*). The residual alone
     # is not enough: it is exactly constant while the prox output sits at
@@ -217,120 +237,80 @@ def _stalled(residuals: "deque[float]", adjoints: "deque[Point]") -> bool:
         return False
     w_new = adjoints[-1]
     w_old = adjoints[0]
-    return (w_new - w_old).norm() <= _STALL_RTOL * (1.0 + w_new.norm())
+    return _norm(w_new - w_old) <= _STALL_RTOL * (1.0 + _norm(w_new))
 
 
 def solve(
     p: ProblemSpec, c: SolveConfig, norm_bound: Optional[float] = None
 ) -> Tuple[Point, Point, SolveTrace]:
-    """Plain dual gradient descent until primal feasibility or budget.
+    """Dual gradient descent until primal feasibility, stall, a non-finite
+    iterate, or budget.
+
+    Each iteration takes a gradient step from w. Plain descent has w = y.
+    With ``c.accelerated``, w extrapolates the last two iterates (Nesterov
+    momentum), and with ``c.restart`` the momentum resets whenever
+    <grad D(w), y_next - y> > 0, i.e. when it stops being a descent
+    direction; the first step equals a plain one.
 
     Returns the last consistent primal-dual pair (x, y) with
-    x = tau*prox(A*y/mu), and the per-iteration trace.
-    """
-    if c.accelerated:
-        return solve_accelerated(p, c, norm_bound)
-    if norm_bound is None:
-        norm_bound = estimated_bound(p)
-    validate_config(p, c, norm_bound)
-    h = c.h if c.h is not None else default_step_size(p, norm_bound)
-
-    y = _initial_state(p, c)
-    x_prev: Optional[Point] = None
-    b_norm = p.b.norm()
-    tol = c.primal_tol * max(1.0, b_norm)
-    trace = SolveTrace()
-    residuals: deque = deque(maxlen=_STALL_WINDOW + 1)
-    adjoints: deque = deque(maxlen=_STALL_WINDOW + 1)
-    for k in range(1, c.max_iter + 1):
-        x, _, wadj = _primal_from_dual(p, y)
-        r = p.b - p.op.apply(x)
-        rnorm = r.norm()
-        residuals.append(rnorm)
-        adjoints.append(wadj)
-        x_change = (x - x_prev).norm() if x_prev is not None else x.norm()
-        feasible = rnorm <= tol
-        y_next = y if feasible else y + h * r
-        trace.records.append(
-            TraceRecord(
-                k=k,
-                primal_residual=rnorm,
-                dual_objective=_trace_objective(p, y, x),
-                x_change=x_change,
-                y_change=(y_next - y).norm(),
-            )
-        )
-        if feasible:
-            trace.termination = "feasibility_tol"
-            return x, y, trace
-        if _stalled(residuals, adjoints):
-            trace.termination = "suspected_infeasible"
-            return x, y, trace
-        y = y_next
-        x_prev = x
-    x, _, _ = _primal_from_dual(p, y)
-    trace.termination = "max_iter"
-    return x, y, trace
-
-
-def solve_accelerated(
-    p: ProblemSpec, c: SolveConfig, norm_bound: Optional[float] = None
-) -> Tuple[Point, Point, SolveTrace]:
-    """Nesterov-accelerated dual descent with adaptive restart.
-
-    Restart resets the momentum whenever <grad D(w), y_next - y> > 0, i.e.
-    when momentum stops being a descent direction. The first step equals a
-    plain gradient step.
+    x = tau*prox(A*y/mu), and the per-iteration trace. Termination is
+    feasibility_tol, suspected_infeasible, max_iter, or numerical_failure
+    (the residual, x change or y change is not finite; the returned pair is
+    the finite one that produced it).
     """
     if norm_bound is None:
         norm_bound = estimated_bound(p)
     validate_config(p, c, norm_bound)
-    h = c.h if c.h is not None else default_step_size(p, norm_bound)
+    h = float(c.h if c.h is not None else default_step_size(p, norm_bound))
 
-    y = _initial_state(p, c)
+    tag = p.op.codomain_tag
+    b = p.b.data
+    y = _initial_state(p, c).data
     w = y
     t = 1.0
-    x_prev: Optional[Point] = None
+    x_prev: Optional[np.ndarray] = None
     tol = c.primal_tol * max(1.0, p.b.norm())
     trace = SolveTrace()
     residuals: deque = deque(maxlen=_STALL_WINDOW + 1)
     adjoints: deque = deque(maxlen=_STALL_WINDOW + 1)
     for k in range(1, c.max_iter + 1):
-        x, _, wadj = _primal_from_dual(p, w)
-        r = p.b - p.op.apply(x)  # -grad D(w)
-        rnorm = r.norm()
+        w_point = Point(w, tag)
+        x_point, wadj = primal_from_dual(p, w_point)
+        x = x_point.data
+        r = b - p.op.apply(x_point).data  # -grad D(w)
+        rnorm = _norm(r)
         residuals.append(rnorm)
-        adjoints.append(wadj)
-        x_change = (x - x_prev).norm() if x_prev is not None else x.norm()
+        adjoints.append(wadj.data)
+        x_change = _norm(x - x_prev) if x_prev is not None else _norm(x)
         feasible = rnorm <= tol
-        y_next = w if feasible else w + h * r
-        trace.records.append(
-            TraceRecord(
-                k=k,
-                primal_residual=rnorm,
-                dual_objective=_trace_objective(p, w, x),
-                x_change=x_change,
-                y_change=(y_next - y).norm(),
-            )
-        )
+        y_next = w if feasible else w + r * h
+        dy = y_next - y
+        y_change = _norm(dy)
+        trace.append(k, rnorm, _trace_objective(p, w, x), x_change, y_change)
+        # The finiteness check of the iteration: a norm overflows once an
+        # entry passes ~1e154, long before r, x, y_next or w can hold an inf.
+        if not (math.isfinite(rnorm) and math.isfinite(x_change) and math.isfinite(y_change)):
+            trace.termination = "numerical_failure"
+            return x_point, w_point, trace
         if feasible:
             trace.termination = "feasibility_tol"
-            return x, w, trace
+            return x_point, w_point, trace
         if _stalled(residuals, adjoints):
             trace.termination = "suspected_infeasible"
-            return x, w, trace
-        if c.restart and (-r).dot(y_next - y) > 0.0:
-            t_next = 1.0
-            w = y_next
-        else:
+            return x_point, w_point, trace
+        if c.accelerated and not (c.restart and float((-r) @ dy) > 0.0):
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            w = y_next + ((t - 1.0) / t_next) * (y_next - y)
+            w = y_next + dy * float((t - 1.0) / t_next)
+            t = t_next
+        else:
+            w = y_next
+            t = 1.0
         y = y_next
-        t = t_next
         x_prev = x
-    x, _, _ = _primal_from_dual(p, y)
+    y_point = Point(y, tag)
+    x_point, _ = primal_from_dual(p, y_point)
     trace.termination = "max_iter"
-    return x, y, trace
+    return x_point, y_point, trace
 
 
 def estimated_bound(p: ProblemSpec) -> float:

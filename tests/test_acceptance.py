@@ -3,6 +3,7 @@ PASS/FAIL line with the measured quantity next to its pinned tolerance."""
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from augdual.models import (
     MatrixCompletionModel,
     RpcaModel,
     build_problem,
-    svt_or_zero,
     tau_heuristic,
 )
 from augdual.oracle import kkt_residual, l1_exact_solve
-from augdual.prox import NormSpec, moreau_residual, prox_norm
+from augdual.prox import NormSpec, moreau_residual, prox_norm, svt
 from augdual.solver import (
     ConfigurationError,
     DualState,
@@ -29,7 +29,6 @@ from augdual.solver import (
     dual_gradient,
     dual_objective,
     solve,
-    solve_accelerated,
     step,
     step_size_bound,
     validate_config,
@@ -214,7 +213,6 @@ def test_criterion_3_fejer_monotonicity(ref_problem):
             k=0,
             y=Point.zeros(p.op.codomain_tag),
             x=Point.zeros(p.op.domain_tag),
-            z=Point.zeros(p.op.domain_tag),
         )
         ys = [s.y]
         for _ in range(n_steps):
@@ -305,13 +303,12 @@ def test_criterion_6_svt_reproduction():
         k=0,
         y=Point.zeros(p.op.codomain_tag),
         x=Point.zeros(p.op.domain_tag),
-        z=Point.zeros(p.op.domain_tag),
     )
     stepwise = 0.0
     for _ in range(100):
         lifted = np.zeros(model.shape)
         lifted[rows, cols] = y / tau  # A*y / mu with mu = tau
-        x_mat = tau * svt_or_zero(lifted, 1.0)
+        x_mat = tau * svt(lifted, 1.0)
         y = y + h * (b - x_mat[rows, cols])
         s = step(p, s, h)
         stepwise = max(stepwise, float(np.max(np.abs(s.x.as_matrix() - x_mat))))
@@ -347,8 +344,8 @@ def test_criterion_7_rpca():
     tau = tau_heuristic(model)
     p = build_problem(RpcaModel(model.D, model.lam, tau=tau))
     d_norm = float(np.linalg.norm(model.D, "fro"))
-    x, y, trace = solve_accelerated(
-        p, SolveConfig(primal_tol=1e-8, max_iter=500_000)
+    x, y, trace = solve(
+        p, SolveConfig(primal_tol=1e-8, max_iter=500_000, accelerated=True)
     )
     l_hat, s_hat = x.as_pair()
     gap = float(np.linalg.norm(model.D - l_hat - s_hat, "fro"))
@@ -376,7 +373,6 @@ def test_criterion_8_gauge_path_consistency(ref_problem):
             k=0,
             y=Point.zeros(p_norm.op.codomain_tag),
             x=Point.zeros(p_norm.op.domain_tag),
-            z=Point.zeros(p_norm.op.domain_tag),
         )
         sg = sn
         for _ in range(100):
@@ -407,7 +403,7 @@ def test_criterion_9_acceleration_sanity(ref_problem):
     p, bound = ref_problem
     cfg = SolveConfig(primal_tol=1e-8)
     x_plain, _, tr_plain = solve(p, cfg, norm_bound=bound)
-    x_acc, _, tr_acc = solve_accelerated(p, cfg, norm_bound=bound)
+    x_acc, _, tr_acc = solve(p, replace(cfg, accelerated=True), norm_bound=bound)
     gap = (x_plain - x_acc).norm() / max(1.0, x_plain.norm())
     ok = (
         tr_acc.termination == "feasibility_tol"

@@ -237,6 +237,22 @@ def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
     assert "configuration error" not in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_solve_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    # A bound far below ||A|| makes the default step too long; the iterates
+    # diverge and the solve must end as a numerical failure, not exit 2.
+    monkeypatch.setattr(numerics, "operator_norm_estimate", lambda op: 1e-3)
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, {"instance": dict(L1_SPEC), "tau": {"rule": "heuristic"},
+                           "solve": {}, "output": {"report": "report.json"}})
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    out = capsys.readouterr()
+    assert "termination=numerical_failure" in out.out
+    assert "configuration error" not in out.err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["termination"] == "numerical_failure"
+
+
 def test_main_props(capsys):
     assert main(["props", "--seed", "3"]) == EXIT_OK
     out = capsys.readouterr().out

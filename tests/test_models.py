@@ -15,8 +15,9 @@ from augdual.models import (
     tau_heuristic,
 )
 from augdual.gauge import NormGauge
+from augdual import numerics
 from augdual.numerics import svd
-from augdual.prox import NormSpec, prox_norm, soft_threshold
+from augdual.prox import NormSpec, prox_norm, soft_threshold, svt
 from augdual.solver import SolveConfig, solve
 
 
@@ -102,16 +103,23 @@ def test_rpca_polar_project_clamps():
     assert np.max(np.abs(so)) <= 0.5 + 1e-15
 
 
+def test_rpca_polar_project_uses_numerics_svd(monkeypatch):
+    def failing_svd(m):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(numerics, "svd", failing_svd)
+    reg = RpcaRegularizer(lam=0.5)
+    with pytest.raises(np.linalg.LinAlgError):
+        reg.polar_project(Point.pair(np.eye(2), np.eye(2)))
+
+
 def test_svt_iteration_is_nuclear_prox():
     # the matrix shrink used by the model equals the nuclear-norm prox
-    from augdual.models import svt_or_zero
-
     rng = np.random.default_rng(32)
     m = rng.standard_normal((5, 3))
-    a = svt_or_zero(m, 0.9)
+    a = svt(m, 0.9)
     b = prox_norm(NormSpec("nuclear"), Point.matrix(m), 0.9).as_matrix()
     assert np.max(np.abs(a - b)) <= 1e-14
-    assert np.array_equal(svt_or_zero(m, 0.0), m)
 
 
 def test_small_matrix_completion_recovers_rank_one():

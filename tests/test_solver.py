@@ -12,8 +12,8 @@ from augdual.solver import (
     default_step_size,
     dual_gradient,
     dual_objective,
+    primal_from_dual,
     solve,
-    solve_accelerated,
     step,
     step_size_bound,
     validate_config,
@@ -35,8 +35,7 @@ def test_hand_iteration_scalar():
     # A = I (1x1), b = (5), tau = mu = 1, h = 1:
     # x1 = 0, y1 = 5; x2 = shrink(5) = 4, y2 = 6
     p = ProblemSpec(Dense(np.eye(1)), Point.vector([5.0]), NormSpec("l1"), 1.0, 1.0)
-    s0 = DualState(k=0, y=Point.zeros(("vector", 1)), x=Point.zeros(("vector", 1)),
-                   z=Point.zeros(("vector", 1)))
+    s0 = DualState(k=0, y=Point.zeros(("vector", 1)), x=Point.zeros(("vector", 1)))
     s1 = step(p, s0, 1.0)
     assert s1.x.as_vector()[0] == 0.0
     assert s1.y.as_vector()[0] == 5.0
@@ -96,9 +95,7 @@ def test_solve_reaches_feasibility():
     r = (p.b - p.op.apply(x)).norm()
     assert r <= 1e-10 * max(1.0, p.b.norm())
     # returned pair is consistent: x is the prox image of the returned y
-    from augdual.solver import _primal_from_dual
-
-    x_check, _, _ = _primal_from_dual(p, y)
+    x_check, _ = primal_from_dual(p, y)
     assert (x - x_check).norm() == 0.0
     assert len(trace.records) == trace.records[-1].k
 
@@ -121,18 +118,10 @@ def test_mu_is_redundant_to_the_solution():
 def test_accelerated_matches_plain_limit():
     p, _ = _l1_problem()
     x_plain, _, tr_plain = solve(p, SolveConfig(primal_tol=1e-10))
-    x_acc, _, tr_acc = solve_accelerated(p, SolveConfig(primal_tol=1e-10))
+    x_acc, _, tr_acc = solve(p, SolveConfig(primal_tol=1e-10, accelerated=True))
     assert tr_acc.termination == "feasibility_tol"
     assert len(tr_acc.records) <= len(tr_plain.records)
     assert (x_plain - x_acc).norm() <= 1e-6 * (1 + x_plain.norm())
-
-
-def test_accelerated_entrypoint_via_flag():
-    p, _ = _l1_problem()
-    xa, _, ta = solve(p, SolveConfig(primal_tol=1e-10, accelerated=True))
-    xb, _, tb = solve_accelerated(p, SolveConfig(primal_tol=1e-10))
-    assert (xa - xb).norm() == 0.0
-    assert len(ta.records) == len(tb.records)
 
 
 def test_warm_start_resumes():
@@ -170,3 +159,39 @@ def test_zero_rhs_terminates_immediately():
     assert len(trace.records) == 1
     assert x.norm() == 0.0
     assert trace.records[0].primal_residual == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_bound_below_norm_ends_in_numerical_failure(accelerated):
+    # 0.05 is far below ||A||, so the step is too long and the iterates
+    # diverge until a norm overflows.
+    p, _ = _l1_problem(seed=0, n=8, m=5)
+    x, y, trace = solve(p, SolveConfig(accelerated=accelerated), norm_bound=0.05)
+    assert trace.termination == "numerical_failure"
+    assert len(trace.records) < 1000
+    assert np.all(np.isfinite(x.data)) and np.all(np.isfinite(y.data))
+    x_check, _ = primal_from_dual(p, y)
+    assert (x - x_check).norm() == 0.0
+    last = trace.records[-1]
+    assert not all(
+        np.isfinite(v) for v in (last.primal_residual, last.x_change, last.y_change)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_rhs_is_rejected():
+    with pytest.raises(ValueError, match="rescale"):
+        ProblemSpec(Dense(np.eye(1)), Point.vector([1e300]), NormSpec("l1"), 1.0, 1.0)
+
+
+def test_trace_records_are_a_read_only_view():
+    p, _ = _l1_problem()
+    _, _, trace = solve(p, SolveConfig(primal_tol=1e-10, accelerated=True))
+    recs = trace.records
+    assert not hasattr(recs, "append")
+    assert [r.k for r in recs] == list(range(1, len(recs) + 1))
+    assert recs[-1] == recs[len(recs) - 1]
+    assert recs[0].x_change == list(recs)[0].x_change
+    with pytest.raises(IndexError):
+        recs[len(recs)]
