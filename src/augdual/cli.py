@@ -323,6 +323,7 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         # field but stores null so identical configs give identical bytes.
         "wall_ms": None,
         "tau": problem.tau,
+        "norm_bound": norm_bound,
         "h": h_used,
     }
     out_cfg = cfg.get("output", {})

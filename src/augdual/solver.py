@@ -52,7 +52,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.b.tag != self.op.codomain_tag:
             raise ValueError("b shape does not match operator codomain")
-        if not math.isfinite(self.b.norm()):
+        with np.errstate(over="ignore"):
+            b_norm = self.b.norm()
+        if not math.isfinite(b_norm):
             raise ValueError("||b|| overflows to inf; rescale the data")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
@@ -66,8 +68,9 @@ class ProblemSpec:
 class SolveConfig:
     """Step size, budget, and tolerances for one solve.
 
-    ``h = None`` picks mu / (tau * bound^2) with bound the inflated power
-    iteration estimate of ||A||. A nonzero y0 needs warm_start=True.
+    ``h = None`` picks mu / (tau * bound^2) with bound the inflated Lanczos
+    estimate of ||A|| (``estimated_bound``). A nonzero y0 needs
+    warm_start=True.
     """
 
     h: Optional[float] = None
@@ -273,40 +276,45 @@ def solve(
     trace = SolveTrace()
     residuals: deque = deque(maxlen=_STALL_WINDOW + 1)
     adjoints: deque = deque(maxlen=_STALL_WINDOW + 1)
-    for k in range(1, c.max_iter + 1):
-        w_point = Point(w, tag)
-        x_point, wadj = primal_from_dual(p, w_point)
-        x = x_point.data
-        r = b - p.op.apply(x_point).data  # -grad D(w)
-        rnorm = _norm(r)
-        residuals.append(rnorm)
-        adjoints.append(wadj.data)
-        x_change = _norm(x - x_prev) if x_prev is not None else _norm(x)
-        feasible = rnorm <= tol
-        y_next = w if feasible else w + r * h
-        dy = y_next - y
-        y_change = _norm(dy)
-        trace.append(k, rnorm, _trace_objective(p, w, x), x_change, y_change)
-        # The finiteness check of the iteration: a norm overflows once an
-        # entry passes ~1e154, long before r, x, y_next or w can hold an inf.
-        if not (math.isfinite(rnorm) and math.isfinite(x_change) and math.isfinite(y_change)):
-            trace.termination = "numerical_failure"
-            return x_point, w_point, trace
-        if feasible:
-            trace.termination = "feasibility_tol"
-            return x_point, w_point, trace
-        if _stalled(residuals, adjoints):
-            trace.termination = "suspected_infeasible"
-            return x_point, w_point, trace
-        if c.accelerated and not (c.restart and float((-r) @ dy) > 0.0):
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            w = y_next + dy * float((t - 1.0) / t_next)
-            t = t_next
-        else:
-            w = y_next
-            t = 1.0
-        y = y_next
-        x_prev = x
+    # A diverging solve overflows in norms and products before the
+    # finiteness check below ends it; the termination reports that, so
+    # numpy's overflow warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, c.max_iter + 1):
+            w_point = Point(w, tag)
+            x_point, wadj = primal_from_dual(p, w_point)
+            x = x_point.data
+            r = b - p.op.apply(x_point).data  # -grad D(w)
+            rnorm = _norm(r)
+            residuals.append(rnorm)
+            adjoints.append(wadj.data)
+            x_change = _norm(x - x_prev) if x_prev is not None else _norm(x)
+            feasible = rnorm <= tol
+            y_next = w if feasible else w + r * h
+            dy = y_next - y
+            y_change = _norm(dy)
+            trace.append(k, rnorm, _trace_objective(p, w, x), x_change, y_change)
+            # The finiteness check of the iteration: a norm overflows once an
+            # entry passes ~1e154, long before r, x, y_next or w can hold an inf.
+            if not (math.isfinite(rnorm) and math.isfinite(x_change)
+                    and math.isfinite(y_change)):
+                trace.termination = "numerical_failure"
+                return x_point, w_point, trace
+            if feasible:
+                trace.termination = "feasibility_tol"
+                return x_point, w_point, trace
+            if _stalled(residuals, adjoints):
+                trace.termination = "suspected_infeasible"
+                return x_point, w_point, trace
+            if c.accelerated and not (c.restart and float((-r) @ dy) > 0.0):
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                w = y_next + dy * float((t - 1.0) / t_next)
+                t = t_next
+            else:
+                w = y_next
+                t = 1.0
+            y = y_next
+            x_prev = x
     y_point = Point(y, tag)
     x_point, _ = primal_from_dual(p, y_point)
     trace.termination = "max_iter"
@@ -314,7 +322,7 @@ def solve(
 
 
 def estimated_bound(p: ProblemSpec) -> float:
-    """Default bound on ||A||: the power-iteration estimate inflated by 1%.
+    """Default bound on ||A||: the Lanczos estimate inflated by 1%.
 
     The estimate is resolved through the numerics module at call time, so a
     patched numerics.operator_norm_estimate is seen here too.

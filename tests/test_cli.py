@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,14 @@ from augdual.cli import (
     run_experiment,
     write_instance,
 )
-from augdual.solver import ConfigurationError, SolveTrace, TraceRecord
+from augdual.models import build_problem
+from augdual.solver import (
+    ConfigurationError,
+    SolveTrace,
+    TraceRecord,
+    default_step_size,
+    estimated_bound,
+)
 
 L1_SPEC = {"kind": "aug_l1", "seed": 7, "n": 8, "m": 4, "k": 2}
 
@@ -131,6 +139,10 @@ def test_run_experiment_end_to_end(tmp_path, capsys):
     assert "iterations" in out and "ms" in out
     trace = read_trace(tmp_path / "trace.csv")
     assert len(trace.records) == report["n_iter"]
+    model, _ = generate_instance(InstanceSpec.from_dict(L1_SPEC))
+    problem = build_problem(dataclasses.replace(model, tau=report["tau"]))
+    assert report["norm_bound"] == estimated_bound(problem)
+    assert report["h"] == default_step_size(problem, report["norm_bound"])
 
 
 def test_reports_and_traces_are_byte_identical(tmp_path):
@@ -237,7 +249,6 @@ def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
     assert "configuration error" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_diverging_solve_is_numerical_exit(tmp_path, monkeypatch, capsys):
     # A bound far below ||A|| makes the default step too long; the iterates
     # diverge and the solve must end as a numerical failure, not exit 2.

@@ -161,7 +161,6 @@ def test_zero_rhs_terminates_immediately():
     assert trace.records[0].primal_residual == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("accelerated", [False, True])
 def test_bound_below_norm_ends_in_numerical_failure(accelerated):
     # 0.05 is far below ||A||, so the step is too long and the iterates
@@ -179,7 +178,6 @@ def test_bound_below_norm_ends_in_numerical_failure(accelerated):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_rhs_is_rejected():
     with pytest.raises(ValueError, match="rescale"):
         ProblemSpec(Dense(np.eye(1)), Point.vector([1e300]), NormSpec("l1"), 1.0, 1.0)
