@@ -49,7 +49,7 @@ def svd(m) -> SvdResult:
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2:
         raise ValueError("svd needs a 2-D matrix")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("svd input must be finite")
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if s[0] > 0:

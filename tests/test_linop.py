@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from augdual import linop
 from augdual.linop import (
+    SPARSE_APPLY_FRACTION,
     BlockSum,
     Dense,
     Point,
@@ -120,3 +122,55 @@ def test_apply_shape_check():
         op.apply(Point.vector([1.0, 2.0]))
     with pytest.raises(ValueError):
         op.adjoint(Point.vector(np.zeros(2)))
+
+
+def _sparse_vector(n, nnz, rng):
+    v = np.zeros(n)
+    v[rng.choice(n, size=nnz, replace=False)] = rng.standard_normal(nnz)
+    return v
+
+
+def _cutoff(n):
+    return int(SPARSE_APPLY_FRACTION * n)
+
+
+@pytest.mark.parametrize("shape", [(60, 250), (250, 60)], ids=["wide", "tall"])
+@pytest.mark.parametrize("which", ["zero", "one", "cutoff", "cutoff+1", "full"])
+def test_dense_sparse_apply_matches_full_product(shape, which):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(shape)
+    n = shape[1]
+    nnz = {"zero": 0, "one": 1, "cutoff": _cutoff(n),
+           "cutoff+1": _cutoff(n) + 1, "full": n}[which]
+    v = _sparse_vector(n, nnz, rng)
+    got = Dense(a).apply(Point.vector(v)).as_vector()
+    want = a @ v
+    assert got.shape == (shape[0],)
+    # At nnz = 0 the bound demands exact zeros.
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_dense_apply_counts_negative_zeros_as_zero():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((40, 200))
+    v = np.full(200, -0.0)
+    assert np.array_equal(Dense(a).apply(Point.vector(v)).as_vector(), np.zeros(40))
+    # Only the two true nonzeros count toward the support, so the sparse
+    # path runs and reads just their columns.
+    v[[5, 150]] = [1.5, -2.0]
+    got = Dense(a).apply(Point.vector(v)).as_vector()
+    assert np.array_equal(got, a[:, [5, 150]] @ np.array([1.5, -2.0]))
+    assert np.linalg.norm(got - a @ v) <= 1e-14 * np.linalg.norm(a @ v)
+
+
+def test_adjoint_identity_with_sparse_x(monkeypatch):
+    dense_point = linop.random_point
+
+    def sparse_point(tag, rng):
+        data = dense_point(tag, rng).data.copy()
+        data[rng.random(data.size) >= 0.03] = 0.0
+        return Point(data, tag)
+
+    monkeypatch.setattr(linop, "random_point", sparse_point)
+    op = Dense(np.random.default_rng(14).standard_normal((50, 300)))
+    assert adjoint_consistency_check(op, trials=50, seed=123) <= 1e-12

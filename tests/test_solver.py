@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from augdual.cli import InstanceSpec, generate_instance
 from augdual.gauge import NormGauge
-from augdual.linop import Dense, Point
+from augdual.linop import SPARSE_APPLY_FRACTION, Dense, Point
+from augdual.models import build_problem, tau_heuristic
 from augdual.prox import NormSpec
 from augdual.solver import (
     ConfigurationError,
@@ -193,3 +197,28 @@ def test_trace_records_are_a_read_only_view():
     assert recs[0].x_change == list(recs)[0].x_change
     with pytest.raises(IndexError):
         recs[len(recs)]
+
+
+class _FullProductDense(Dense):
+    """Reference forward map: the full matrix-vector product for every x."""
+
+    def _apply(self, x):
+        return Point.vector(self.matrix @ x.as_vector())
+
+
+def test_sparse_forward_map_keeps_the_iterates():
+    # A 300x1400 linearized-Bregman solve whose iterates keep about 30
+    # nonzeros, so every forward map after the first takes the sparse path.
+    model, truth = generate_instance(
+        InstanceSpec(kind="aug_l1", seed=5, m=300, n=1400, k=30)
+    )
+    tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
+    p = build_problem(dataclasses.replace(model, tau=tau))
+    ref = dataclasses.replace(p, op=_FullProductDense(p.op.matrix))
+    config = SolveConfig(primal_tol=1e-6)
+    x, _, trace = solve(p, config)
+    x_ref, _, trace_ref = solve(ref, config)
+    assert trace.termination == trace_ref.termination == "feasibility_tol"
+    assert len(trace.records) == len(trace_ref.records)
+    assert (x - x_ref).norm() <= 1e-12 * x_ref.norm()
+    assert np.count_nonzero(x.data) <= SPARSE_APPLY_FRACTION * x.size
