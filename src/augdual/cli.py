@@ -9,8 +9,6 @@ Subcommands:
   trace CSV, report JSON, and optional solution JSON.
 * ``augdual check --problem <file> --solution <file>``: KKT residual of a
   stored solution.
-* ``augdual props --seed <int>``: run the property suites on seeded
-  random inputs and print pass/fail.
 
 Randomness comes from numpy's default PCG64 generator seeded per instance,
 so instances are reproducible bit for bit. Exit codes: 0 success, 2
@@ -31,8 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import gauge as gauge_mod
-from .linop import BlockSum, Dense, Point, SamplingMask, adjoint_consistency_check
+from .linop import Point
 from .models import (
     AugL1Model,
     MatrixCompletionModel,
@@ -41,7 +38,6 @@ from .models import (
     tau_heuristic,
 )
 from .oracle import kkt_residual
-from .prox import NormSpec, moreau_residual, prox_norm
 from .solver import (
     ConfigurationError,
     SolveConfig,
@@ -165,20 +161,19 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
         meta["payload"] = {"A": "A.csv", "b": "b.csv", "x0": "x0.csv"}
         _save_csv(out / "A.csv", model.A)
         _save_csv(out / "b.csv", model.b)
-        _save_csv(out / "x0.csv", truth.as_vector())
+        _save_csv(out / "x0.csv", truth.data)
     elif spec.kind == "matrix_completion":
         meta.update(shape=[spec.rows, spec.cols], rank=spec.rank, p=spec.p)
         meta["omega"] = [[i, j] for i, j in model.omega]
         meta["payload"] = {"sampled_values": "b.csv", "M0": "M0.csv"}
         _save_csv(out / "b.csv", model.sampled_values)
-        _save_csv(out / "M0.csv", truth.as_matrix())
+        _save_csv(out / "M0.csv", truth.data)
     else:
         meta.update(shape=[spec.rows, spec.cols], rank=spec.rank, k=spec.k, lam=spec.lam)
         meta["payload"] = {"D": "D.csv", "L0": "L0.csv", "S0": "S0.csv"}
         _save_csv(out / "D.csv", model.D)
-        left, right = truth.as_pair()
-        _save_csv(out / "L0.csv", left)
-        _save_csv(out / "S0.csv", right)
+        _save_csv(out / "L0.csv", truth.data[0])
+        _save_csv(out / "S0.csv", truth.data[1])
     path = out / "instance.json"
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -248,7 +243,7 @@ def _magnitude_for_rule(model, truth: Optional[Point]) -> Optional[float]:
     if truth is None:
         return None
     if isinstance(model, AugL1Model):
-        return float(np.max(np.abs(truth.as_vector())))
+        return float(np.max(np.abs(truth.data)))
     return None
 
 
@@ -343,8 +338,8 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
                 {
                     "tau": problem.tau,
                     "mu": problem.mu,
-                    "x": x.data.tolist(),
-                    "y": y.data.tolist(),
+                    "x": x.data.ravel().tolist(),
+                    "y": y.data.ravel().tolist(),
                 },
                 fh,
                 indent=2,
@@ -378,76 +373,6 @@ def _model_kind(model) -> str:
     }[type(model).__name__]
 
 
-def run_props(seed: int) -> int:
-    """Seeded property suites: prox identities, adjoint identities, gauge
-    consistency. Prints one line per property."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-
-    def report(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-
-    norms = {
-        "l1": NormSpec("l1"),
-        "l2": NormSpec("l2"),
-        "linf": NormSpec("linf"),
-        "nuclear": NormSpec("nuclear"),
-    }
-    for name, norm in norms.items():
-        worst_moreau = 0.0
-        worst_firm = 0.0
-        worst_lip = 0.0
-        worst_scaling = 0.0
-        for _ in range(200):
-            if name == "nuclear":
-                v = Point.matrix(3.0 * rng.standard_normal((4, 3)))
-                u = Point.matrix(3.0 * rng.standard_normal((4, 3)))
-            else:
-                v = Point.vector(3.0 * rng.standard_normal(6))
-                u = Point.vector(3.0 * rng.standard_normal(6))
-            worst_moreau = max(worst_moreau, moreau_residual(norm, v))
-            pv = prox_norm(norm, v, 1.0)
-            pu = prox_norm(norm, u, 1.0)
-            d = (pv - pu).norm()
-            worst_firm = max(worst_firm, d * d - (v - u).dot(pv - pu))
-            worst_lip = max(worst_lip, d - (v - u).norm())
-            for t in (0.1, 1.0, 37.0):
-                lhs = t * prox_norm(norm, (1.0 / t) * v, 1.0)
-                rhs = prox_norm(norm, v, t)
-                worst_scaling = max(
-                    worst_scaling, (lhs - rhs).norm() / (1.0 + v.norm())
-                )
-        report(f"moreau residual ({name}) <= 1e-10", worst_moreau <= 1e-10)
-        report(f"firm nonexpansiveness ({name})", worst_firm <= 1e-10)
-        report(f"lipschitz ({name})", worst_lip <= 1e-10)
-        report(f"prox scaling ({name}) <= 1e-12", worst_scaling <= 1e-12)
-
-    ops = [
-        Dense(rng.standard_normal((6, 9))),
-        SamplingMask((4, 5), ((0, 0), (1, 3), (2, 2), (3, 4))),
-        BlockSum((3, 4)),
-    ]
-    for op in ops:
-        gap = adjoint_consistency_check(op, trials=20, seed=seed)
-        report(f"adjoint identity ({type(op).__name__}) <= 1e-12", gap <= 1e-12)
-
-    for name, norm in norms.items():
-        if name == "nuclear":
-            continue
-        g = gauge_mod.NormGauge(norm)
-        ok = True
-        for _ in range(50):
-            v = Point.vector(3.0 * rng.standard_normal(5))
-            diff = (gauge_mod.gauge_prox(g, v, 1.0) - prox_norm(norm, v, 1.0)).norm()
-            ok = ok and diff <= 1e-10
-        report(f"gauge/norm prox consistency ({name})", ok)
-
-    print(f"{failures} failure(s)")
-    return EXIT_OK if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="augdual",
@@ -466,9 +391,6 @@ def main(argv=None) -> int:
     chk.add_argument("--problem", required=True, help="instance.json path")
     chk.add_argument("--solution", required=True, help="solution JSON path")
 
-    props = sub.add_parser("props", help="run seeded property suites")
-    props.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":
@@ -482,21 +404,20 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
             _, code = run_experiment(cfg, base_dir=Path(args.config).parent)
             return code
-        if args.command == "check":
-            model, _ = load_instance(args.problem)
-            with open(args.solution) as fh:
-                sol = json.load(fh)
-            problem = build_problem(_with_tau(model, float(sol["tau"])))
-            x = Point(np.asarray(sol["x"]), problem.op.domain_tag)
-            y = Point(np.asarray(sol["y"]), problem.op.codomain_tag)
-            rep = kkt_residual(problem, x, y)
-            print(
-                f"feasibility={rep.feasibility:.3e} "
-                f"stationarity={rep.stationarity:.3e} "
-                f"max_violation={rep.max_violation:.3e}"
-            )
-            return EXIT_OK
-        return run_props(args.seed)
+        # check: the stored solution holds flat lists
+        model, _ = load_instance(args.problem)
+        with open(args.solution) as fh:
+            sol = json.load(fh)
+        problem = build_problem(_with_tau(model, float(sol["tau"])))
+        x = Point(np.asarray(sol["x"]).reshape(problem.op.domain_shape))
+        y = Point(np.asarray(sol["y"]).reshape(problem.op.codomain_shape))
+        rep = kkt_residual(problem, x, y)
+        print(
+            f"feasibility={rep.feasibility:.3e} "
+            f"stationarity={rep.stationarity:.3e} "
+            f"max_violation={rep.max_violation:.3e}"
+        )
+        return EXIT_OK
     except np.linalg.LinAlgError as exc:
         # LinAlgError subclasses ValueError; catch it first so a failed SVD
         # is not reported as a configuration error.

@@ -12,7 +12,8 @@ A gauge is described by one of three variants:
 The generalized Moreau decomposition v = gauge_prox(v) + polar_project(v)
 turns the polar projection into a prox for arbitrary gauges. Each variant
 is a Gauge, whose prox and polar_project methods are the solver's
-regularizer protocol.
+regularizer protocol. Every function takes and returns numpy arrays; a
+gauge of dimension d acts on the d entries of an array of any shape.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Union
 
 import numpy as np
 
-from .linop import Point
 from .prox import NormSpec, dual_ball_project, dual_norm_value, norm_value, soft_threshold
 
 DEFAULT_TOL = 1e-10
@@ -53,10 +53,10 @@ class Gauge:
 
     fixes_mu = True
 
-    def prox(self, v: Point, scale: float) -> Point:
+    def prox(self, v: np.ndarray, scale: float) -> np.ndarray:
         return gauge_prox(self, v, scale)
 
-    def polar_project(self, v: Point) -> Point:
+    def polar_project(self, v: np.ndarray) -> np.ndarray:
         return polar_project(self, v)
 
 
@@ -101,35 +101,35 @@ class PolyhedralPolar(Gauge):
 GaugeSpec = Union[NormGauge, DiagWeighted, PolyhedralPolar]
 
 
-def _check_dim(g, v: Point, dim: int):
-    if v.data.size != dim:
-        raise ValueError(f"point dimension {v.data.size} does not match gauge ({dim})")
+def _check_dim(g, v: np.ndarray, dim: int):
+    if v.size != dim:
+        raise ValueError(f"point dimension {v.size} does not match gauge ({dim})")
 
 
-def gauge_eval(g: GaugeSpec, x: Point) -> float:
+def gauge_eval(g: GaugeSpec, x: np.ndarray) -> float:
     """Value of the gauge at x (support function of C° for the polyhedral
     variant)."""
     if isinstance(g, NormGauge):
         return norm_value(g.norm, x)
     if isinstance(g, DiagWeighted):
         _check_dim(g, x, g.weights.size)
-        return float(g.weights @ np.abs(x.data))
+        return float(g.weights @ np.abs(x).ravel())
     _check_dim(g, x, g.vertices.shape[1])
-    return max(0.0, float(np.max(g.vertices @ x.data)))
+    return max(0.0, float(np.max(g.vertices @ x.ravel())))
 
 
-def polar_gauge_eval(g: GaugeSpec, u: Point) -> float:
+def polar_gauge_eval(g: GaugeSpec, u: np.ndarray) -> float:
     """Value of the polar gauge (the gauge of C°); may be +inf when u lies
     outside every dilation of C°."""
     if isinstance(g, NormGauge):
         return dual_norm_value(g.norm, u)
     if isinstance(g, DiagWeighted):
         _check_dim(g, u, g.weights.size)
-        if u.data.size == 0:
+        if u.size == 0:
             return 0.0
-        return float(np.max(np.abs(u.data) / g.weights))
+        return float(np.max(np.abs(u).ravel() / g.weights))
     _check_dim(g, u, g.vertices.shape[1])
-    return _polyhedral_polar_gauge(g, u.data)
+    return _polyhedral_polar_gauge(g, u.ravel())
 
 
 def _polyhedral_polar_gauge(g: PolyhedralPolar, u: np.ndarray) -> float:
@@ -238,8 +238,8 @@ def _min_norm_point(points: np.ndarray, tol: float, max_iter: int = MAX_MNP_ITER
 
 
 def polar_project(
-    g: GaugeSpec, v: Point, tol: float = DEFAULT_TOL, scale: float = 1.0
-) -> Point:
+    g: GaugeSpec, v: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 1.0
+) -> np.ndarray:
     """Euclidean projection of v onto scale * C°."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -247,23 +247,23 @@ def polar_project(
         return dual_ball_project(g.norm, v, radius=scale)
     if isinstance(g, DiagWeighted):
         _check_dim(g, v, g.weights.size)
-        bound = scale * g.weights
-        return v.with_data(np.clip(v.data, -bound, bound))
+        bound = scale * g.weights.reshape(v.shape)
+        return np.clip(v, -bound, bound)
     _check_dim(g, v, g.vertices.shape[1])
-    shifted = g.polytope(scale) - v.data
+    shifted = g.polytope(scale) - v.ravel()
     x = _min_norm_point(shifted, tol)
-    return v.with_data(v.data + x)
+    return v + x.reshape(v.shape)
 
 
 def gauge_prox(
-    g: GaugeSpec, v: Point, scale: float, tol: float = DEFAULT_TOL
-) -> Point:
+    g: GaugeSpec, v: np.ndarray, scale: float, tol: float = DEFAULT_TOL
+) -> np.ndarray:
     """prox of scale * gauge at v via the generalized Moreau decomposition:
     v minus the projection onto scale * C°."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     if isinstance(g, DiagWeighted):
         _check_dim(g, v, g.weights.size)
-        return v.with_data(soft_threshold(v.data, scale * g.weights))
+        return soft_threshold(v, scale * g.weights.reshape(v.shape))
     z = polar_project(g, v, tol=tol, scale=scale)
     return v - z

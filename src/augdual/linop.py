@@ -1,10 +1,13 @@
-"""Shape-tagged points and the linear operators of the recovery models.
+"""Points and the linear operators of the recovery models.
 
-A Point is a flat array plus a shape tag (vector, matrix, or a pair of
-equally shaped matrices), so one solver loop handles sparse-vector,
-matrix-completion, and low-rank-plus-sparse problems uniformly.
+A Point is an immutable finite array whose numpy shape says what it is: (n,)
+for a vector, (r, c) for a matrix, and (2, r, c) for a pair of equally shaped
+matrices (the low-rank and sparse blocks of RPCA). One solver loop handles
+sparse-vector, matrix-completion, and low-rank-plus-sparse problems.
 
-Three operator variants are supported:
+Each operator declares numpy ``domain_shape``/``codomain_shape`` and maps
+arrays to arrays in ``_apply``/``_adjoint``; ``apply``/``adjoint`` check a
+Point's shape and wrap the result. Three operator variants are supported:
 
 * Dense: an explicit matrix acting on vectors (the forward map reads only
   the columns on the support of a sparse x);
@@ -15,13 +18,10 @@ Three operator variants are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-
-VectorTag = Tuple[str, int]
-ShapeTag = Union[Tuple[str, int], Tuple[str, Tuple[int, int]]]
 
 # Dense.apply multiplies only the columns on the support of x when at most
 # this fraction of x is nonzero. Gathering those columns costs O(m * nnz(x))
@@ -32,39 +32,30 @@ SPARSE_APPLY_FRACTION = 0.08
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """Immutable flat array with a shape tag.
-
-    Tags: ("vector", n), ("matrix", (r, c)), ("pair", (r, c)) where a pair
-    holds two stacked r-by-c matrices.
-    """
+    """Immutable finite array of shape (n,), (r, c) or (2, r, c)."""
 
     data: np.ndarray
-    tag: ShapeTag
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=float).ravel())
+        # A fresh view, so freezing it leaves the caller's array writable.
+        arr = np.ascontiguousarray(self.data, dtype=float).view()
+        if not (arr.ndim in (1, 2) or (arr.ndim == 3 and arr.shape[0] == 2)):
+            raise ValueError(f"point shape {arr.shape} is not (n,), (r, c) or (2, r, c)")
         if not np.isfinite(arr).all():
             raise ValueError("point entries must be finite")
-        if arr.size != self.size:
-            raise ValueError(f"data size {arr.size} does not match tag {self.tag}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def size(self) -> int:
-        return _tag_size(self.tag)
-
     @staticmethod
     def vector(values) -> "Point":
-        arr = np.asarray(values, dtype=float).ravel()
-        return Point(arr, ("vector", arr.size))
+        return Point(np.asarray(values, dtype=float).ravel())
 
     @staticmethod
     def matrix(values) -> "Point":
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 2:
             raise ValueError("matrix point needs a 2-D array")
-        return Point(arr.ravel(), ("matrix", (arr.shape[0], arr.shape[1])))
+        return Point(arr)
 
     @staticmethod
     def pair(first, second) -> "Point":
@@ -72,99 +63,70 @@ class Point:
         b = np.asarray(second, dtype=float)
         if a.shape != b.shape or a.ndim != 2:
             raise ValueError("pair point needs two equally shaped 2-D arrays")
-        return Point(np.concatenate([a.ravel(), b.ravel()]), ("pair", a.shape))
+        return Point(np.array((a, b)))
 
     @staticmethod
-    def zeros(tag: ShapeTag) -> "Point":
-        p = Point(np.zeros(_tag_size(tag)), tag)
-        return p
-
-    def as_vector(self) -> np.ndarray:
-        if self.tag[0] != "vector":
-            raise ValueError(f"not a vector point: {self.tag!r}")
-        return self.data
-
-    def as_matrix(self) -> np.ndarray:
-        if self.tag[0] != "matrix":
-            raise ValueError(f"not a matrix point: {self.tag!r}")
-        r, c = self.tag[1]
-        return self.data.reshape(r, c)
-
-    def as_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.tag[0] != "pair":
-            raise ValueError(f"not a pair point: {self.tag!r}")
-        r, c = self.tag[1]
-        half = r * c
-        return self.data[:half].reshape(r, c), self.data[half:].reshape(r, c)
-
-    def with_data(self, data: np.ndarray) -> "Point":
-        return Point(np.asarray(data, dtype=float).ravel(), self.tag)
+    def zeros(shape) -> "Point":
+        return Point(np.zeros(shape))
 
     def __add__(self, other: "Point") -> "Point":
         self._check(other)
-        return Point(self.data + other.data, self.tag)
+        return Point(self.data + other.data)
 
     def __sub__(self, other: "Point") -> "Point":
         self._check(other)
-        return Point(self.data - other.data, self.tag)
+        return Point(self.data - other.data)
 
     def __mul__(self, scalar: float) -> "Point":
-        return Point(self.data * float(scalar), self.tag)
+        return Point(self.data * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Point":
-        return Point(-self.data, self.tag)
+        return Point(-self.data)
 
     def dot(self, other: "Point") -> float:
         self._check(other)
-        return float(self.data @ other.data)
+        return float(self.data.ravel() @ other.data.ravel())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
     def _check(self, other: "Point"):
-        if self.tag != other.tag:
-            raise ValueError(f"shape mismatch: {self.tag!r} vs {other.tag!r}")
-
-
-def _tag_size(tag: ShapeTag) -> int:
-    kind, shp = tag
-    if kind == "vector":
-        return int(shp)
-    if kind == "matrix":
-        return int(shp[0] * shp[1])
-    if kind == "pair":
-        return int(2 * shp[0] * shp[1])
-    raise ValueError(f"unknown shape tag {tag!r}")
+        if self.data.shape != other.data.shape:
+            raise ValueError(f"shape mismatch: {self.data.shape} vs {other.data.shape}")
 
 
 class LinearOperator:
-    """Base for the operator variants; exposes forward and adjoint maps."""
+    """Base for the operator variants; exposes forward and adjoint maps.
 
-    domain_tag: ShapeTag
-    codomain_tag: ShapeTag
+    ``apply`` and ``adjoint`` are the one place that checks a Point's shape
+    and wraps the array a subclass's ``_apply``/``_adjoint`` returns.
+    """
+
+    domain_shape: Tuple[int, ...]
+    codomain_shape: Tuple[int, ...]
 
     def apply(self, x: Point) -> Point:
-        if x.tag != self.domain_tag:
-            raise ValueError(f"domain mismatch: {x.tag!r} vs {self.domain_tag!r}")
-        return self._apply(x)
+        if x.data.shape != self.domain_shape:
+            raise ValueError(f"domain mismatch: {x.data.shape} vs {self.domain_shape}")
+        return Point(self._apply(x.data))
 
     def adjoint(self, y: Point) -> Point:
-        if y.tag != self.codomain_tag:
-            raise ValueError(f"codomain mismatch: {y.tag!r} vs {self.codomain_tag!r}")
-        return self._adjoint(y)
+        if y.data.shape != self.codomain_shape:
+            raise ValueError(f"codomain mismatch: {y.data.shape} vs {self.codomain_shape}")
+        return Point(self._adjoint(y.data))
 
-    def _apply(self, x: Point) -> Point:
+    def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _adjoint(self, y: Point) -> Point:
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 @dataclass(frozen=True, eq=False)
 class Dense(LinearOperator):
-    """Explicit m-by-n matrix acting on vector points."""
+    """Explicit m-by-n matrix acting on vectors."""
 
     matrix: np.ndarray
 
@@ -177,22 +139,21 @@ class Dense(LinearOperator):
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def domain_tag(self) -> ShapeTag:
-        return ("vector", self.matrix.shape[1])
+    def domain_shape(self) -> Tuple[int]:
+        return (self.matrix.shape[1],)
 
     @property
-    def codomain_tag(self) -> ShapeTag:
-        return ("vector", self.matrix.shape[0])
+    def codomain_shape(self) -> Tuple[int]:
+        return (self.matrix.shape[0],)
 
-    def _apply(self, x: Point) -> Point:
-        v = x.as_vector()
-        nz = np.flatnonzero(v)
-        if nz.size <= SPARSE_APPLY_FRACTION * v.size:
-            return Point.vector(self.matrix[:, nz] @ v[nz])
-        return Point.vector(self.matrix @ v)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        nz = np.flatnonzero(x)
+        if nz.size <= SPARSE_APPLY_FRACTION * x.size:
+            return self.matrix[:, nz] @ x[nz]
+        return self.matrix @ x
 
-    def _adjoint(self, y: Point) -> Point:
-        return Point.vector(self.matrix.T @ y.as_vector())
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ y
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,20 +179,20 @@ class SamplingMask(LinearOperator):
         object.__setattr__(self, "_cols", np.array([j for _, j in idx]))
 
     @property
-    def domain_tag(self) -> ShapeTag:
-        return ("matrix", self.shape)
+    def domain_shape(self) -> Tuple[int, int]:
+        return self.shape
 
     @property
-    def codomain_tag(self) -> ShapeTag:
-        return ("vector", len(self.indices))
+    def codomain_shape(self) -> Tuple[int]:
+        return (len(self.indices),)
 
-    def _apply(self, x: Point) -> Point:
-        return Point.vector(x.as_matrix()[self._rows, self._cols])
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return x[self._rows, self._cols]
 
-    def _adjoint(self, y: Point) -> Point:
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self._rows, self._cols] = y.as_vector()
-        return Point.matrix(out)
+        out[self._rows, self._cols] = y
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,24 +205,22 @@ class BlockSum(LinearOperator):
         object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
 
     @property
-    def domain_tag(self) -> ShapeTag:
-        return ("pair", self.shape)
+    def domain_shape(self) -> Tuple[int, int, int]:
+        return (2,) + self.shape
 
     @property
-    def codomain_tag(self) -> ShapeTag:
-        return ("matrix", self.shape)
+    def codomain_shape(self) -> Tuple[int, int]:
+        return self.shape
 
-    def _apply(self, x: Point) -> Point:
-        left, right = x.as_pair()
-        return Point.matrix(left + right)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return x[0] + x[1]
 
-    def _adjoint(self, y: Point) -> Point:
-        mat = y.as_matrix()
-        return Point.pair(mat, mat)
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+        return np.array((y, y))
 
 
-def random_point(tag: ShapeTag, rng: np.random.Generator) -> Point:
-    return Point(rng.standard_normal(_tag_size(tag)), tag)
+def random_point(shape, rng: np.random.Generator) -> Point:
+    return Point(rng.standard_normal(shape))
 
 
 def adjoint_consistency_check(op: LinearOperator, trials: int, seed: int) -> float:
@@ -271,8 +230,8 @@ def adjoint_consistency_check(op: LinearOperator, trials: int, seed: int) -> flo
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        x = random_point(op.domain_tag, rng)
-        y = random_point(op.codomain_tag, rng)
+        x = random_point(op.domain_shape, rng)
+        y = random_point(op.codomain_shape, rng)
         lhs = op.apply(x).dot(y)
         rhs = x.dot(op.adjoint(y))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))

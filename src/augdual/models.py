@@ -18,6 +18,7 @@ import numpy as np
 from . import numerics
 from .gauge import GaugeSpec
 from .linop import BlockSum, Dense, LinearOperator, Point, SamplingMask
+# Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
 from .prox import NormSpec, soft_threshold, svt
 from .solver import ProblemSpec
 
@@ -90,7 +91,8 @@ class GaugeModel:
 
 @dataclass(frozen=True, eq=False)
 class RpcaRegularizer:
-    """Separable block regularizer ||L||_* + lam||S||_1 on pair points.
+    """Separable block regularizer ||L||_* + lam||S||_1 on (2, r, c) pairs
+    v = (L, S) = (v[0], v[1]).
 
     The prox applies nuclear-norm shrinkage to L and soft thresholding at
     lam * scale to S; the polar projection clamps singular values at 1 and
@@ -99,15 +101,13 @@ class RpcaRegularizer:
 
     lam: float
 
-    def prox(self, v: Point, scale: float) -> Point:
-        left, right = v.as_pair()
-        return Point.pair(svt(left, scale), soft_threshold(right, scale * self.lam))
+    def prox(self, v: np.ndarray, scale: float) -> np.ndarray:
+        return np.array((svt(v[0], scale), soft_threshold(v[1], scale * self.lam)))
 
-    def polar_project(self, v: Point) -> Point:
-        left, right = v.as_pair()
-        res = numerics.svd(left)
+    def polar_project(self, v: np.ndarray) -> np.ndarray:
+        res = numerics.svd(v[0])
         clamped = (res.u * np.minimum(res.s, 1.0)) @ res.v.T
-        return Point.pair(clamped, np.clip(right, -self.lam, self.lam))
+        return np.array((clamped, np.clip(v[1], -self.lam, self.lam)))
 
 
 def build_problem(model) -> ProblemSpec:

@@ -9,12 +9,13 @@ which needs only the operator's forward and adjoint maps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import LinearOperator, Point, _tag_size, random_point
+from .linop import LinearOperator, Point, random_point
 
 # Singular values below this fraction of the largest are clamped to zero to
 # stabilize rank decisions.
@@ -57,6 +58,7 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=vt.T)
 
 
+# Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
 def power_iteration(
     op: LinearOperator, tol: float, max_iter: int, seed: int
 ) -> tuple[float, bool, int]:
@@ -70,7 +72,7 @@ def power_iteration(
     if tol <= 0:
         raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
-    x = random_point(op.domain_tag, rng)
+    x = random_point(op.domain_shape, rng)
     nrm = x.norm()
     if nrm == 0:
         return 0.0, True, 0
@@ -106,10 +108,11 @@ def lanczos_norm(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    first, second, tag = op.apply, op.adjoint, op.domain_tag
-    if _tag_size(op.codomain_tag) < _tag_size(tag):
-        first, second, tag = op.adjoint, op.apply, op.codomain_tag
-    q = random_point(tag, np.random.default_rng(seed)).data
+    first, second, shape = op.apply, op.adjoint, op.domain_shape
+    if math.prod(op.codomain_shape) < math.prod(shape):
+        first, second, shape = op.adjoint, op.apply, op.codomain_shape
+    # The basis holds flat vectors; the operators see them in their shape.
+    q = np.random.default_rng(seed).standard_normal(math.prod(shape))
     q = q / np.linalg.norm(q)
     cap = min(max_iter, q.size)
     # Basis rows q_1..q_j, grown by doubling so a short run allocates little.
@@ -123,7 +126,7 @@ def lanczos_norm(
             grown[:j] = basis
             basis = grown
         basis[j] = q
-        w = second(first(Point(q, tag))).data
+        w = second(first(Point(q.reshape(shape)))).data.ravel()
         alphas.append(float(q @ w))
         stored = basis[: j + 1]
         for _ in range(2):

@@ -46,7 +46,7 @@ def kkt_residual(p: ProblemSpec, x: Point, y: Point) -> KktReport:
     solution set and subsumes the subdifferential inclusion.
     """
     feas = (p.op.apply(x) - p.b).norm()
-    stat = (x - primal_from_dual(p, y)[0]).norm()
+    stat = float(np.linalg.norm(x.data - primal_from_dual(p, y.data)[0]))
     return KktReport(feasibility=feas, stationarity=stat)
 
 
@@ -142,14 +142,13 @@ def l1_exact_solve(A, b, tau: float, mu: float = 1.0) -> Point:
     raise InfeasibleModelError("no sign pattern verified; Ax = b appears inconsistent")
 
 
-def prox_bruteforce(objective, v, grid_half_width: float, grid_points: int):
+def prox_bruteforce(objective, v, grid_half_width: float, grid_points: int) -> np.ndarray:
     """Grid minimizer of objective(x) + 0.5||x - v||^2 over a box around v.
 
     Dimension <= 3, <= 201 points per axis; accuracy is one grid cell.
-    Accepts a Point or a flat array and returns the same kind.
+    Returns a flat array.
     """
-    is_point = isinstance(v, Point)
-    center = v.data if is_point else np.asarray(v, dtype=float).ravel()
+    center = np.asarray(v, dtype=float).ravel()
     d = center.size
     if d > 3:
         raise ValueError("brute-force prox is capped at dimension 3")
@@ -167,6 +166,4 @@ def prox_bruteforce(objective, v, grid_half_width: float, grid_points: int):
         if val < best_val:
             best_val = val
             best = x
-    if is_point:
-        return v.with_data(best)
     return best

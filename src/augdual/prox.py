@@ -1,9 +1,11 @@
 """Proximal operators and dual-ball projections for the norm catalog.
 
-Catalog: l1 (optionally weighted), l2, linf, nuclear. The Moreau
-decomposition v = prox(v) + projection-onto-dual-ball(v) is exposed as an
-executable identity (moreau_residual), and singular value thresholding is
-provided both as the nuclear prox and as a standalone matrix operation.
+Catalog: l1 (optionally weighted), l2, linf, nuclear. Every function takes
+and returns numpy arrays: the vector norms act on all entries of an array of
+any shape, and the nuclear norm needs a 2-D array. The Moreau decomposition
+v = prox(v) + projection-onto-dual-ball(v) is exposed as an executable
+identity (moreau_residual), and singular value thresholding is provided
+both as the nuclear prox and as a standalone matrix operation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .linop import Point
 
 KINDS = ("l1", "l2", "linf", "nuclear")
 
@@ -37,47 +38,47 @@ class NormSpec:
                 raise ValueError("weights must be strictly positive and finite")
             object.__setattr__(self, "weights", w)
 
-    def prox(self, v: Point, scale: float) -> Point:
+    def prox(self, v: np.ndarray, scale: float) -> np.ndarray:
         return prox_norm(self, v, scale)
 
-    def polar_project(self, v: Point) -> Point:
+    def polar_project(self, v: np.ndarray) -> np.ndarray:
         return dual_ball_project(self, v)
 
 
-def _weights(norm: NormSpec, size: int) -> np.ndarray:
+def _weights(norm: NormSpec, v: np.ndarray) -> np.ndarray:
+    """The l1 weights in the shape of v."""
     if norm.weights is None:
-        return np.ones(size)
-    if norm.weights.size != size:
+        return np.ones(v.shape)
+    if norm.weights.size != v.size:
         raise ValueError(
-            f"weight length {norm.weights.size} does not match dimension {size}"
+            f"weight length {norm.weights.size} does not match dimension {v.size}"
         )
-    return norm.weights
+    return norm.weights.reshape(v.shape)
 
 
-def _require_matrix(norm: NormSpec, v: Point) -> np.ndarray:
-    if v.tag[0] != "matrix":
-        raise ValueError(f"{norm.kind} norm needs a matrix point, got {v.tag!r}")
-    return v.as_matrix()
+def _require_matrix(norm: NormSpec, v: np.ndarray) -> np.ndarray:
+    if v.ndim != 2:
+        raise ValueError(f"{norm.kind} norm needs a matrix, got shape {v.shape}")
+    return v
 
 
-def norm_value(norm: NormSpec, v: Point) -> float:
+def norm_value(norm: NormSpec, v: np.ndarray) -> float:
     if norm.kind == "l1":
-        return float(_weights(norm, v.data.size) @ np.abs(v.data))
+        return float(_weights(norm, v).ravel() @ np.abs(v).ravel())
     if norm.kind == "l2":
-        return v.norm()
+        return float(np.linalg.norm(v))
     if norm.kind == "linf":
-        return float(np.max(np.abs(v.data))) if v.data.size else 0.0
+        return float(np.max(np.abs(v))) if v.size else 0.0
     return float(np.sum(numerics.svd(_require_matrix(norm, v)).s))
 
 
-def dual_norm_value(norm: NormSpec, v: Point) -> float:
+def dual_norm_value(norm: NormSpec, v: np.ndarray) -> float:
     if norm.kind == "l1":
-        w = _weights(norm, v.data.size)
-        return float(np.max(np.abs(v.data) / w)) if v.data.size else 0.0
+        return float(np.max(np.abs(v) / _weights(norm, v))) if v.size else 0.0
     if norm.kind == "l2":
-        return v.norm()
+        return float(np.linalg.norm(v))
     if norm.kind == "linf":
-        return float(np.sum(np.abs(v.data)))
+        return float(np.sum(np.abs(v)))
     return float(numerics.svd(_require_matrix(norm, v)).s[0])
 
 
@@ -93,7 +94,7 @@ def project_l1_ball(values: np.ndarray, radius: float) -> np.ndarray:
     a = np.abs(values)
     if a.sum() <= radius:
         return values.copy()
-    u = np.sort(a)[::-1]
+    u = np.sort(a, axis=None)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, a.size + 1)
     rho = np.max(np.nonzero(u * ks > css - radius)[0]) + 1
@@ -101,49 +102,45 @@ def project_l1_ball(values: np.ndarray, radius: float) -> np.ndarray:
     return soft_threshold(values, theta)
 
 
-def prox_norm(norm: NormSpec, v: Point, scale: float) -> Point:
+def prox_norm(norm: NormSpec, v: np.ndarray, scale: float) -> np.ndarray:
     """Exact minimizer of scale*||x|| + 0.5*||x - v||_2^2."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     if norm.kind == "l1":
-        w = _weights(norm, v.data.size)
-        return v.with_data(soft_threshold(v.data, scale * w))
+        return soft_threshold(v, scale * _weights(norm, v))
     if norm.kind == "l2":
-        nrm = v.norm()
+        nrm = float(np.linalg.norm(v))
         if nrm <= scale:
-            return v.with_data(np.zeros_like(v.data))
+            return np.zeros_like(v)
         return v * (1.0 - scale / nrm)
     if norm.kind == "linf":
         # Moreau: prox of scale*||.||_inf is v minus projection onto the
         # l1 ball of radius scale.
-        return v.with_data(v.data - project_l1_ball(v.data, scale))
-    mat = _require_matrix(norm, v)
-    return Point.matrix(svt(mat, scale))
+        return v - project_l1_ball(v, scale)
+    return svt(_require_matrix(norm, v), scale)
 
 
-def dual_ball_project(norm: NormSpec, v: Point, radius: float = 1.0) -> Point:
+def dual_ball_project(norm: NormSpec, v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Euclidean projection onto {z : dual-norm(z) <= radius}."""
     if norm.kind == "l1":
-        w = _weights(norm, v.data.size)
-        bound = radius * w
-        return v.with_data(np.clip(v.data, -bound, bound))
+        bound = radius * _weights(norm, v)
+        return np.clip(v, -bound, bound)
     if norm.kind == "l2":
-        nrm = v.norm()
+        nrm = float(np.linalg.norm(v))
         if nrm <= radius:
             return v
         return v * (radius / nrm)
     if norm.kind == "linf":
-        return v.with_data(project_l1_ball(v.data, radius))
-    mat = _require_matrix(norm, v)
-    res = numerics.svd(mat)
-    return Point.matrix((res.u * np.minimum(res.s, radius)) @ res.v.T)
+        return project_l1_ball(v, radius)
+    res = numerics.svd(_require_matrix(norm, v))
+    return (res.u * np.minimum(res.s, radius)) @ res.v.T
 
 
-def moreau_residual(norm: NormSpec, v: Point, scale: float = 1.0) -> float:
+def moreau_residual(norm: NormSpec, v: np.ndarray, scale: float = 1.0) -> float:
     """||v - prox_{scale*norm}(v) - proj_{scale*dual-ball}(v)||_2."""
     p = prox_norm(norm, v, scale)
     z = dual_ball_project(norm, v, radius=scale)
-    return (v - p - z).norm()
+    return float(np.linalg.norm(v - p - z))
 
 
 def svt(m, threshold: float) -> np.ndarray:

@@ -37,10 +37,11 @@ class ConfigurationError(ValueError):
 class ProblemSpec:
     """One augmented model instance (operator, data, regularizer, tau, mu).
 
-    The regularizer is any object exposing prox(point, scale) and
-    polar_project(point): a NormSpec, a gauge, or the RPCA block
-    regularizer. Gauge problems (``fixes_mu``) fix mu = tau, which makes the
-    gauge iteration and the norm iteration share one code path.
+    The regularizer is any object exposing prox(v, scale) and
+    polar_project(v) on arrays shaped like the operator's domain: a
+    NormSpec, a gauge, or the RPCA block regularizer. Gauge problems
+    (``fixes_mu``) fix mu = tau, which makes the gauge iteration and the
+    norm iteration share one code path.
     """
 
     op: LinearOperator
@@ -50,7 +51,7 @@ class ProblemSpec:
     mu: float
 
     def __post_init__(self):
-        if self.b.tag != self.op.codomain_tag:
+        if self.b.data.shape != self.op.codomain_shape:
             raise ValueError("b shape does not match operator codomain")
         with np.errstate(over="ignore"):
             b_norm = self.b.norm()
@@ -147,28 +148,33 @@ class _TraceRows(Sequence):
         return map(TraceRecord, *self._columns)
 
 
-def regularizer_prox(reg, v: Point, scale: float) -> Point:
+# Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
+def regularizer_prox(reg, v: np.ndarray, scale: float) -> np.ndarray:
     return reg.prox(v, scale)
 
 
-def primal_from_dual(p: ProblemSpec, y: Point) -> Tuple[Point, Point]:
-    """x = tau*prox(A*y/mu), and w = A*y/mu itself."""
-    w = p.op.adjoint(y) * (1.0 / p.mu)
+def primal_from_dual(p: ProblemSpec, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x = tau*prox(A*y/mu), and w = A*y/mu itself, on arrays."""
+    w = p.op.adjoint(Point(y)).data * (1.0 / p.mu)
     return p.tau * regularizer_prox(p.regularizer, w, 1.0), w
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u.ravel() @ v.ravel())
 
 
 def dual_objective(p: ProblemSpec, y: Point) -> float:
     """D(y) = -<y, b> + (tau*mu/2) * ||A*y/mu - z||^2 with z the projection
     of A*y/mu onto the dual ball / polar set."""
-    w = p.op.adjoint(y) * (1.0 / p.mu)
-    z = p.regularizer.polar_project(w)
-    return -y.dot(p.b) + 0.5 * p.tau * p.mu * (w - z).dot(w - z)
+    w = p.op.adjoint(y).data * (1.0 / p.mu)
+    gap = w - p.regularizer.polar_project(w)
+    return -y.dot(p.b) + 0.5 * p.tau * p.mu * _dot(gap, gap)
 
 
 def dual_gradient(p: ProblemSpec, y: Point) -> Point:
     """grad D(y) = -b + A(tau * prox(A*y/mu))."""
-    x, _ = primal_from_dual(p, y)
-    return p.op.apply(x) - p.b
+    x, _ = primal_from_dual(p, y.data)
+    return p.op.apply(Point(x)) - p.b
 
 
 def step_size_bound(p: ProblemSpec, norm_bound: float) -> float:
@@ -203,17 +209,17 @@ def validate_config(p: ProblemSpec, c: SolveConfig, norm_bound: float) -> None:
         raise ConfigurationError("nonzero y0 requires warm_start=True")
 
 
-def _initial_state(p: ProblemSpec, c: SolveConfig) -> Point:
+def _initial_state(p: ProblemSpec, c: SolveConfig) -> np.ndarray:
     if c.y0 is not None:
-        if c.y0.tag != p.op.codomain_tag:
+        if c.y0.data.shape != p.op.codomain_shape:
             raise ValueError("y0 shape does not match operator codomain")
-        return c.y0
-    return Point.zeros(p.op.codomain_tag)
+        return c.y0.data
+    return np.zeros(p.op.codomain_shape)
 
 
 def step(p: ProblemSpec, s: DualState, h: float) -> DualState:
     """One primal-dual iteration: x = tau*prox(A*y/mu); y += h(b - Ax)."""
-    x, _ = primal_from_dual(p, s.y)
+    x = Point(primal_from_dual(p, s.y.data)[0])
     return DualState(k=s.k + 1, y=s.y + h * (p.b - p.op.apply(x)), x=x)
 
 
@@ -224,7 +230,7 @@ def _norm(v: np.ndarray) -> float:
 def _trace_objective(p: ProblemSpec, y: np.ndarray, x: np.ndarray) -> float:
     # D(y) via the Moreau identity ||w - z|| = ||x|| / tau; avoids a second
     # projection (and a second SVD) per iteration.
-    return -float(y @ p.b.data) + 0.5 * (p.mu / p.tau) * float(x @ x)
+    return -_dot(y, p.b.data) + 0.5 * (p.mu / p.tau) * _dot(x, x)
 
 
 def _stalled(residuals: "deque[float]", adjoints: "deque[np.ndarray]") -> bool:
@@ -266,9 +272,8 @@ def solve(
     validate_config(p, c, norm_bound)
     h = float(c.h if c.h is not None else default_step_size(p, norm_bound))
 
-    tag = p.op.codomain_tag
     b = p.b.data
-    y = _initial_state(p, c).data
+    y = _initial_state(p, c)
     w = y
     t = 1.0
     x_prev: Optional[np.ndarray] = None
@@ -281,13 +286,11 @@ def solve(
     # numpy's overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, c.max_iter + 1):
-            w_point = Point(w, tag)
-            x_point, wadj = primal_from_dual(p, w_point)
-            x = x_point.data
-            r = b - p.op.apply(x_point).data  # -grad D(w)
+            x, wadj = primal_from_dual(p, w)
+            r = b - p.op.apply(Point(x)).data  # -grad D(w)
             rnorm = _norm(r)
             residuals.append(rnorm)
-            adjoints.append(wadj.data)
+            adjoints.append(wadj)
             x_change = _norm(x - x_prev) if x_prev is not None else _norm(x)
             feasible = rnorm <= tol
             y_next = w if feasible else w + r * h
@@ -299,14 +302,14 @@ def solve(
             if not (math.isfinite(rnorm) and math.isfinite(x_change)
                     and math.isfinite(y_change)):
                 trace.termination = "numerical_failure"
-                return x_point, w_point, trace
+                return Point(x), Point(w), trace
             if feasible:
                 trace.termination = "feasibility_tol"
-                return x_point, w_point, trace
+                return Point(x), Point(w), trace
             if _stalled(residuals, adjoints):
                 trace.termination = "suspected_infeasible"
-                return x_point, w_point, trace
-            if c.accelerated and not (c.restart and float((-r) @ dy) > 0.0):
+                return Point(x), Point(w), trace
+            if c.accelerated and not (c.restart and _dot(-r, dy) > 0.0):
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
                 w = y_next + dy * float((t - 1.0) / t_next)
                 t = t_next
@@ -315,10 +318,9 @@ def solve(
                 t = 1.0
             y = y_next
             x_prev = x
-    y_point = Point(y, tag)
-    x_point, _ = primal_from_dual(p, y_point)
+    x, _ = primal_from_dual(p, y)
     trace.termination = "max_iter"
-    return x_point, y_point, trace
+    return Point(x), Point(y), trace
 
 
 def estimated_bound(p: ProblemSpec) -> float:

@@ -53,7 +53,7 @@ REF_SPEC = InstanceSpec.from_dict(
 @pytest.fixture(scope="module")
 def ref_problem():
     model, truth = generate_instance(REF_SPEC)
-    tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.as_vector()))))
+    tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
     p = build_problem(AugL1Model(model.A, model.b, tau=tau))
     bound = operator_norm_estimate(p.op) * 1.01
     return p, bound
@@ -68,8 +68,8 @@ def test_criterion_1_prox_identities():
 
         def draw():
             if kind == "nuclear":
-                return Point.matrix(3.0 * rng.standard_normal((4, 3)))
-            return Point.vector(3.0 * rng.standard_normal(6))
+                return 3.0 * rng.standard_normal((4, 3))
+            return 3.0 * rng.standard_normal(6)
 
         for _ in range(1000):
             v = draw()
@@ -77,12 +77,12 @@ def test_criterion_1_prox_identities():
             worst["moreau"] = max(worst["moreau"], moreau_residual(spec, v))
             pv = prox_norm(spec, v, 1.0)
             pu = prox_norm(spec, u, 1.0)
-            d = (pv - pu).norm()
-            worst["firm"] = max(worst["firm"], d * d - (v - u).dot(pv - pu))
-            worst["lip"] = max(worst["lip"], d - (v - u).norm())
+            d = float(np.linalg.norm(pv - pu))
+            worst["firm"] = max(worst["firm"], d * d - float(np.vdot(v - u, pv - pu)))
+            worst["lip"] = max(worst["lip"], d - float(np.linalg.norm(v - u)))
             s = float(rng.uniform(0.1, 10.0))
-            gap = (prox_norm(spec, s * v, s) - s * pv).norm()
-            worst["scaling"] = max(worst["scaling"], gap / (1.0 + v.norm()))
+            gap = float(np.linalg.norm(prox_norm(spec, s * v, s) - s * pv))
+            worst["scaling"] = max(worst["scaling"], gap / (1.0 + np.linalg.norm(v)))
     elapsed = time.perf_counter() - start
     ok = (
         worst["moreau"] <= 1e-10
@@ -105,39 +105,33 @@ class _MatrixDense(LinearOperator):
 
     def __init__(self, mat: np.ndarray, shape):
         self.mat = np.asarray(mat, dtype=float)
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.domain_shape = (int(shape[0]), int(shape[1]))
+        self.codomain_shape = (self.mat.shape[0],)
 
-    @property
-    def domain_tag(self):
-        return ("matrix", self.shape)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return self.mat @ x.ravel()
 
-    @property
-    def codomain_tag(self):
-        return ("vector", self.mat.shape[0])
-
-    def _apply(self, x: Point) -> Point:
-        return Point.vector(self.mat @ x.data)
-
-    def _adjoint(self, y: Point) -> Point:
-        return Point(self.mat.T @ y.data, self.domain_tag)
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+        return (self.mat.T @ y).reshape(self.domain_shape)
 
 
 def _fd_gradient_max_relerr(p: ProblemSpec, n_points: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    dim = Point.zeros(p.op.codomain_tag).data.size
+    shape = p.op.codomain_shape
+    dim = int(np.prod(shape))
     eps = 1e-6
     for _ in range(n_points):
-        y = Point(rng.standard_normal(dim), p.op.codomain_tag)
+        y = Point(rng.standard_normal(shape))
         g = dual_gradient(p, y)
         fd = np.zeros(dim)
         for i in range(dim):
             e = np.zeros(dim)
             e[i] = eps
-            plus = Point(y.data + e, y.tag)
-            minus = Point(y.data - e, y.tag)
+            plus = Point(y.data + e.reshape(shape))
+            minus = Point(y.data - e.reshape(shape))
             fd[i] = (dual_objective(p, plus) - dual_objective(p, minus)) / (2 * eps)
-        err = float(np.linalg.norm(fd - g.data)) / max(1.0, g.norm())
+        err = float(np.linalg.norm(fd - g.data.ravel())) / max(1.0, g.norm())
         worst = max(worst, err)
     return worst
 
@@ -155,7 +149,7 @@ def test_criterion_2_gradient_correctness():
                 l1_model.A,
                 l1_model.b,
                 tau=tau_heuristic(
-                    l1_model, magnitude=float(np.max(np.abs(l1_truth.as_vector())))
+                    l1_model, magnitude=float(np.max(np.abs(l1_truth.data)))
                 ),
             )
         )
@@ -211,8 +205,8 @@ def test_criterion_3_fejer_monotonicity(ref_problem):
     def iterate(n_steps):
         s = DualState(
             k=0,
-            y=Point.zeros(p.op.codomain_tag),
-            x=Point.zeros(p.op.domain_tag),
+            y=Point.zeros(p.op.codomain_shape),
+            x=Point.zeros(p.op.domain_shape),
         )
         ys = [s.y]
         for _ in range(n_steps):
@@ -243,7 +237,7 @@ def test_criterion_4_oracle_match():
                 {"kind": "aug_l1", "seed": 400 + i, "n": n, "m": m, "k": k}
             )
         )
-        tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.as_vector()))))
+        tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
         exact = l1_exact_solve(model.A, model.b, tau)
         p = build_problem(AugL1Model(model.A, model.b, tau=tau))
         x, _, trace = solve(p, SolveConfig(primal_tol=1e-12, max_iter=500_000))
@@ -301,8 +295,8 @@ def test_criterion_6_svt_reproduction():
     y = np.zeros(b.size)
     s = DualState(
         k=0,
-        y=Point.zeros(p.op.codomain_tag),
-        x=Point.zeros(p.op.domain_tag),
+        y=Point.zeros(p.op.codomain_shape),
+        x=Point.zeros(p.op.domain_shape),
     )
     stepwise = 0.0
     for _ in range(100):
@@ -311,8 +305,8 @@ def test_criterion_6_svt_reproduction():
         x_mat = tau * svt(lifted, 1.0)
         y = y + h * (b - x_mat[rows, cols])
         s = step(p, s, h)
-        stepwise = max(stepwise, float(np.max(np.abs(s.x.as_matrix() - x_mat))))
-        stepwise = max(stepwise, float(np.max(np.abs(s.y.as_vector() - y))))
+        stepwise = max(stepwise, float(np.max(np.abs(s.x.data - x_mat))))
+        stepwise = max(stepwise, float(np.max(np.abs(s.y.data - y))))
 
     abs_tol = 1e-8 / max(1.0, p.b.norm())
     x, yy, trace = solve(
@@ -347,7 +341,7 @@ def test_criterion_7_rpca():
     x, y, trace = solve(
         p, SolveConfig(primal_tol=1e-8, max_iter=500_000, accelerated=True)
     )
-    l_hat, s_hat = x.as_pair()
+    l_hat, s_hat = x.data
     gap = float(np.linalg.norm(model.D - l_hat - s_hat, "fro"))
     kkt = kkt_residual(p, x, y).max_violation
     ok = (
@@ -371,8 +365,8 @@ def test_criterion_8_gauge_path_consistency(ref_problem):
         nonlocal worst
         sn = DualState(
             k=0,
-            y=Point.zeros(p_norm.op.codomain_tag),
-            x=Point.zeros(p_norm.op.domain_tag),
+            y=Point.zeros(p_norm.op.codomain_shape),
+            x=Point.zeros(p_norm.op.domain_shape),
         )
         sg = sn
         for _ in range(100):

@@ -195,9 +195,26 @@ def test_zero_rhs_reports_one_iteration(tmp_path):
     assert report["kkt_max_violation"] == 0.0
 
 
-def test_main_gen_solve_check(tmp_path, capsys):
+GEN_SOLVE_CHECK = {
+    "aug_l1": (L1_SPEC, {"value": 10.0}),
+    "matrix_completion": (
+        {"kind": "matrix_completion", "seed": 11, "rows": 6, "cols": 5, "rank": 1,
+         "p": 0.8},
+        {"rule": "heuristic"},
+    ),
+    "rpca": (
+        {"kind": "rpca", "seed": 5, "rows": 5, "cols": 4, "rank": 1, "k": 2,
+         "lam": 0.5},
+        {"rule": "heuristic"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(GEN_SOLVE_CHECK))
+def test_main_gen_solve_check(kind, tmp_path, capsys):
+    spec, tau = GEN_SOLVE_CHECK[kind]
     spec_path = tmp_path / "spec.json"
-    _write_json(spec_path, L1_SPEC)
+    _write_json(spec_path, spec)
     assert main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "inst")]) == EXIT_OK
 
     cfg_path = tmp_path / "config.json"
@@ -205,12 +222,19 @@ def test_main_gen_solve_check(tmp_path, capsys):
         cfg_path,
         {
             "instance_path": "inst/instance.json",
-            "tau": {"value": 10.0},
+            "tau": tau,
             "solve": {"primal_tol": 1e-10},
             "output": {"report": "report.json", "solution": "solution.json"},
         },
     )
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_OK
+    # The solution file stores x and y as flat lists of numbers.
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    model, _ = load_instance(tmp_path / "inst" / "instance.json")
+    op = build_problem(dataclasses.replace(model, tau=sol["tau"])).op
+    for key, shape in (("x", op.domain_shape), ("y", op.codomain_shape)):
+        assert all(isinstance(v, float) for v in sol[key])
+        assert len(sol[key]) == int(np.prod(shape))
     assert main([
         "check",
         "--problem", str(tmp_path / "inst" / "instance.json"),
@@ -218,6 +242,7 @@ def test_main_gen_solve_check(tmp_path, capsys):
     ]) == EXIT_OK
     out = capsys.readouterr().out
     assert "max_violation" in out
+    assert float(out.split("max_violation=")[1]) <= 1e-6
 
 
 def test_main_config_exit_code(tmp_path):
@@ -262,10 +287,3 @@ def test_diverging_solve_is_numerical_exit(tmp_path, monkeypatch, capsys):
     assert "configuration error" not in out.err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["termination"] == "numerical_failure"
-
-
-def test_main_props(capsys):
-    assert main(["props", "--seed", "3"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out

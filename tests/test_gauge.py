@@ -12,7 +12,6 @@ from augdual.gauge import (
     polar_gauge_eval,
     polar_project,
 )
-from augdual.linop import Point
 from augdual.prox import NormSpec, dual_norm_value, norm_value, prox_norm
 
 CROSS = PolyhedralPolar(np.vstack([np.eye(3), -np.eye(3)]))  # C° = l1 ball in R^3
@@ -20,18 +19,18 @@ CROSS = PolyhedralPolar(np.vstack([np.eye(3), -np.eye(3)]))  # C° = l1 ball in 
 
 def test_norm_gauge_matches_norm():
     g = NormGauge(NormSpec("l1"))
-    v = Point.vector([1.0, -2.0, 0.5])
+    v = np.array([1.0, -2.0, 0.5])
     assert gauge_eval(g, v) == norm_value(NormSpec("l1"), v)
     assert polar_gauge_eval(g, v) == dual_norm_value(NormSpec("l1"), v)
 
 
 def test_diag_weighted_values():
     g = DiagWeighted(np.array([1.0, 2.0]))
-    v = Point.vector([3.0, -1.0])
+    v = np.array([3.0, -1.0])
     assert gauge_eval(g, v) == pytest.approx(5.0)
     assert polar_gauge_eval(g, v) == pytest.approx(3.0)
     out = gauge_prox(g, v, 1.0)
-    assert np.allclose(out.as_vector(), [2.0, 0.0])
+    assert np.allclose(out, [2.0, 0.0])
 
 
 def test_diag_weighted_rejects_bad_weights():
@@ -42,28 +41,26 @@ def test_diag_weighted_rejects_bad_weights():
 def test_segment_polar_gauge():
     # C° = conv{0, e1} in R^2: points off the segment's ray have gauge +inf
     g = PolyhedralPolar(np.array([[1.0, 0.0]]))
-    assert polar_gauge_eval(g, Point.vector([0.5, 0.0])) == pytest.approx(0.5, abs=1e-8)
-    assert math.isinf(polar_gauge_eval(g, Point.vector([0.0, 1.0])))
+    assert polar_gauge_eval(g, np.array([0.5, 0.0])) == pytest.approx(0.5, abs=1e-8)
+    assert math.isinf(polar_gauge_eval(g, np.array([0.0, 1.0])))
     # gauge of that C° is the support function: max(0, x_1)
-    assert gauge_eval(g, Point.vector([2.0, 5.0])) == pytest.approx(2.0)
-    assert gauge_eval(g, Point.vector([-2.0, 5.0])) == 0.0
+    assert gauge_eval(g, np.array([2.0, 5.0])) == pytest.approx(2.0)
+    assert gauge_eval(g, np.array([-2.0, 5.0])) == 0.0
 
 
 def test_cross_polytope_polar_is_l1():
     rng = np.random.default_rng(21)
     for _ in range(20):
-        v = Point.vector(2.0 * rng.standard_normal(3))
+        v = 2.0 * rng.standard_normal(3)
         got = polar_gauge_eval(CROSS, v)
-        assert got == pytest.approx(float(np.sum(np.abs(v.as_vector()))), rel=1e-6)
+        assert got == pytest.approx(float(np.sum(np.abs(v))), rel=1e-6)
 
 
 def test_cross_polytope_gauge_is_linf():
     rng = np.random.default_rng(22)
     for _ in range(20):
-        v = Point.vector(2.0 * rng.standard_normal(3))
-        assert gauge_eval(CROSS, v) == pytest.approx(
-            float(np.max(np.abs(v.as_vector())))
-        )
+        v = 2.0 * rng.standard_normal(3)
+        assert gauge_eval(CROSS, v) == pytest.approx(float(np.max(np.abs(v))))
 
 
 def test_polar_project_cross_polytope_matches_l1_ball():
@@ -73,12 +70,12 @@ def test_polar_project_cross_polytope_matches_l1_ball():
     mirror = NormSpec("linf")  # dual ball of linf is the l1 ball
     rng = np.random.default_rng(23)
     for _ in range(20):
-        v = Point.vector(2.0 * rng.standard_normal(3))
+        v = 2.0 * rng.standard_normal(3)
         got = polar_project(CROSS, v)
         ref = dual_ball_project(mirror, v)
-        assert (got - ref).norm() <= 1e-8
-    spot = polar_project(CROSS, Point.vector([2.0, 2.0, 0.0]))
-    assert np.allclose(spot.as_vector(), [0.5, 0.5, 0.0], atol=1e-10)
+        assert np.linalg.norm(got - ref) <= 1e-8
+    spot = polar_project(CROSS, np.array([2.0, 2.0, 0.0]))
+    assert np.allclose(spot, [0.5, 0.5, 0.0], atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -95,9 +92,9 @@ def test_polar_project_cross_polytope_matches_l1_ball():
 def test_generalized_moreau(g):
     rng = np.random.default_rng(24)
     for _ in range(50):
-        v = Point.vector(2.0 * rng.standard_normal(3))
+        v = 2.0 * rng.standard_normal(3)
         split = gauge_prox(g, v, 1.0) + polar_project(g, v)
-        assert (split - v).norm() <= 1e-8 * (1.0 + v.norm())
+        assert np.linalg.norm(split - v) <= 1e-8 * (1.0 + np.linalg.norm(v))
 
 
 @pytest.mark.parametrize(
@@ -112,11 +109,11 @@ def test_generalized_moreau(g):
 def test_polar_inequality(g):
     rng = np.random.default_rng(25)
     for _ in range(50):
-        x = Point.vector(2.0 * rng.standard_normal(3))
-        u = Point.vector(2.0 * rng.standard_normal(3))
+        x = 2.0 * rng.standard_normal(3)
+        u = 2.0 * rng.standard_normal(3)
         bound = gauge_eval(g, x) * polar_gauge_eval(g, u)
         if math.isfinite(bound):
-            assert x.dot(u) <= bound + 1e-8
+            assert x @ u <= bound + 1e-8
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
@@ -125,11 +122,11 @@ def test_norm_gauge_prox_matches_prox_norm(kind):
     g = NormGauge(spec)
     rng = np.random.default_rng(26)
     for _ in range(50):
-        v = Point.vector(3.0 * rng.standard_normal(5))
+        v = 3.0 * rng.standard_normal(5)
         s = float(rng.uniform(0.2, 4.0))
         a = gauge_prox(g, v, s)
         b = prox_norm(spec, v, s)
-        assert (a - b).norm() <= 1e-14 * (1.0 + v.norm())
+        assert np.linalg.norm(a - b) <= 1e-14 * (1.0 + np.linalg.norm(v))
 
 
 def test_polyhedral_gauge_prox_optimality():
@@ -137,19 +134,19 @@ def test_polyhedral_gauge_prox_optimality():
     rng = np.random.default_rng(27)
     g = PolyhedralPolar(np.array([[1.0, 0.5], [-0.5, 1.0], [0.0, -1.0]]))
     for _ in range(10):
-        v = Point.vector(2.0 * rng.standard_normal(2))
+        v = 2.0 * rng.standard_normal(2)
         s = 0.8
         p = gauge_prox(g, v, s)
 
         def value(pt):
-            return s * gauge_eval(g, pt) + 0.5 * (pt - v).dot(pt - v)
+            return s * gauge_eval(g, pt) + 0.5 * (pt - v) @ (pt - v)
 
         base = value(p)
         for _ in range(40):
-            trial = p + Point.vector(0.05 * rng.standard_normal(2))
+            trial = p + 0.05 * rng.standard_normal(2)
             assert value(trial) >= base - 1e-8
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        gauge_eval(CROSS, Point.vector([1.0, 2.0]))
+        gauge_eval(CROSS, np.array([1.0, 2.0]))

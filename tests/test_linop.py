@@ -15,32 +15,32 @@ from augdual.linop import (
 
 def test_point_vector_roundtrip():
     p = Point.vector([1.0, -2.0, 3.0])
-    assert p.tag == ("vector", 3)
-    assert np.array_equal(p.as_vector(), [1.0, -2.0, 3.0])
+    assert p.data.shape == (3,)
+    assert np.array_equal(p.data, [1.0, -2.0, 3.0])
     assert not p.data.flags.writeable
 
 
 def test_point_matrix_roundtrip():
     m = np.arange(6.0).reshape(2, 3)
     p = Point.matrix(m)
-    assert p.tag == ("matrix", (2, 3))
-    assert np.array_equal(p.as_matrix(), m)
+    assert p.data.shape == (2, 3)
+    assert np.array_equal(p.data, m)
 
 
 def test_point_pair_roundtrip():
     a = np.ones((2, 2))
     b = -np.ones((2, 2))
     p = Point.pair(a, b)
-    la, sb = p.as_pair()
-    assert np.array_equal(la, a)
-    assert np.array_equal(sb, b)
+    assert p.data.shape == (2, 2, 2)
+    assert np.array_equal(p.data[0], a)
+    assert np.array_equal(p.data[1], b)
 
 
 def test_point_arithmetic_and_norm():
     p = Point.vector([3.0, 4.0])
     q = Point.vector([1.0, 0.0])
-    assert (p + q).as_vector()[0] == 4.0
-    assert (p - q).as_vector()[0] == 2.0
+    assert (p + q).data[0] == 4.0
+    assert (p - q).data[0] == 2.0
     assert (2.0 * p).norm() == 10.0
     assert p.dot(q) == 3.0
     assert p.norm() == 5.0
@@ -52,24 +52,26 @@ def test_point_tag_mismatch_raises():
     with pytest.raises(ValueError):
         _ = p + q
     with pytest.raises(ValueError):
-        p.as_matrix()
+        _ = Point.matrix([[1.0, 2.0]]) + Point.vector([1.0, 2.0])
+    with pytest.raises(ValueError):
+        Point(np.zeros((3, 2, 2)))
 
 
 def test_dense_apply_adjoint():
     a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     op = Dense(a)
     x = Point.vector([1.0, -1.0])
-    assert np.allclose(op.apply(x).as_vector(), a @ [1.0, -1.0])
+    assert np.allclose(op.apply(x).data, a @ [1.0, -1.0])
     y = np.array([1.0, 0.0, 2.0])
-    assert np.allclose(op.adjoint(Point.vector(y)).as_vector(), a.T @ y)
+    assert np.allclose(op.adjoint(Point.vector(y)).data, a.T @ y)
 
 
 def test_sampling_mask_apply_adjoint():
     op = SamplingMask((2, 3), ((0, 1), (1, 2)))
     m = np.arange(6.0).reshape(2, 3)
     out = op.apply(Point.matrix(m))
-    assert np.array_equal(out.as_vector(), [1.0, 5.0])
-    back = op.adjoint(Point.vector([7.0, 9.0])).as_matrix()
+    assert np.array_equal(out.data, [1.0, 5.0])
+    back = op.adjoint(Point.vector([7.0, 9.0])).data
     expected = np.zeros((2, 3))
     expected[0, 1] = 7.0
     expected[1, 2] = 9.0
@@ -88,9 +90,9 @@ def test_blocksum_apply_adjoint():
     l = np.eye(2)
     s = np.array([[0.0, 1.0], [0.0, 0.0]])
     out = op.apply(Point.pair(l, s))
-    assert np.array_equal(out.as_matrix(), l + s)
+    assert np.array_equal(out.data, l + s)
     y = np.arange(4.0).reshape(2, 2)
-    la, sa = op.adjoint(Point.matrix(y)).as_pair()
+    la, sa = op.adjoint(Point.matrix(y)).data
     assert np.array_equal(la, y)
     assert np.array_equal(sa, y)
 
@@ -111,9 +113,9 @@ def test_adjoint_identity(op):
 
 def test_random_point_shapes():
     rng = np.random.default_rng(0)
-    assert random_point(("vector", 4), rng).tag == ("vector", 4)
-    assert random_point(("matrix", (2, 5)), rng).tag == ("matrix", (2, 5))
-    assert random_point(("pair", (3, 3)), rng).tag == ("pair", (3, 3))
+    assert random_point((4,), rng).data.shape == (4,)
+    assert random_point((2, 5), rng).data.shape == (2, 5)
+    assert random_point((2, 3, 3), rng).data.shape == (2, 3, 3)
 
 
 def test_apply_shape_check():
@@ -143,7 +145,7 @@ def test_dense_sparse_apply_matches_full_product(shape, which):
     nnz = {"zero": 0, "one": 1, "cutoff": _cutoff(n),
            "cutoff+1": _cutoff(n) + 1, "full": n}[which]
     v = _sparse_vector(n, nnz, rng)
-    got = Dense(a).apply(Point.vector(v)).as_vector()
+    got = Dense(a).apply(Point.vector(v)).data
     want = a @ v
     assert got.shape == (shape[0],)
     # At nnz = 0 the bound demands exact zeros.
@@ -154,11 +156,11 @@ def test_dense_apply_counts_negative_zeros_as_zero():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((40, 200))
     v = np.full(200, -0.0)
-    assert np.array_equal(Dense(a).apply(Point.vector(v)).as_vector(), np.zeros(40))
+    assert np.array_equal(Dense(a).apply(Point.vector(v)).data, np.zeros(40))
     # Only the two true nonzeros count toward the support, so the sparse
     # path runs and reads just their columns.
     v[[5, 150]] = [1.5, -2.0]
-    got = Dense(a).apply(Point.vector(v)).as_vector()
+    got = Dense(a).apply(Point.vector(v)).data
     assert np.array_equal(got, a[:, [5, 150]] @ np.array([1.5, -2.0]))
     assert np.linalg.norm(got - a @ v) <= 1e-14 * np.linalg.norm(a @ v)
 
@@ -166,10 +168,10 @@ def test_dense_apply_counts_negative_zeros_as_zero():
 def test_adjoint_identity_with_sparse_x(monkeypatch):
     dense_point = linop.random_point
 
-    def sparse_point(tag, rng):
-        data = dense_point(tag, rng).data.copy()
-        data[rng.random(data.size) >= 0.03] = 0.0
-        return Point(data, tag)
+    def sparse_point(shape, rng):
+        data = dense_point(shape, rng).data.copy()
+        data[rng.random(data.shape) >= 0.03] = 0.0
+        return Point(data)
 
     monkeypatch.setattr(linop, "random_point", sparse_point)
     op = Dense(np.random.default_rng(14).standard_normal((50, 300)))

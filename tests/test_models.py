@@ -69,7 +69,7 @@ def test_build_matrix_completion():
     p = build_problem(model)
     assert isinstance(p.op, SamplingMask)
     assert p.regularizer.kind == "nuclear"
-    assert np.array_equal(p.b.as_vector(), [1.0, 2.0])
+    assert np.array_equal(p.b.data, [1.0, 2.0])
 
 
 def test_build_rpca_and_gauge():
@@ -86,8 +86,7 @@ def test_rpca_regularizer_prox_blocks():
     rng = np.random.default_rng(31)
     l = rng.standard_normal((4, 4))
     s = rng.standard_normal((4, 4))
-    out = reg.prox(Point.pair(l, s), 0.7)
-    lo, so = out.as_pair()
+    lo, so = reg.prox(np.stack((l, s)), 0.7)
     res = svd(l)
     expect_l = (res.u * np.maximum(res.s - 0.7, 0.0)) @ res.v.T
     assert np.max(np.abs(lo - expect_l)) <= 1e-12
@@ -98,7 +97,7 @@ def test_rpca_polar_project_clamps():
     reg = RpcaRegularizer(lam=0.5)
     l = np.diag([3.0, 0.2])
     s = np.array([[2.0, -0.1], [0.0, -4.0]])
-    lo, so = reg.polar_project(Point.pair(l, s)).as_pair()
+    lo, so = reg.polar_project(np.stack((l, s)))
     assert np.allclose(np.sort(svd(lo).s)[::-1], [1.0, 0.2], atol=1e-12)
     assert np.max(np.abs(so)) <= 0.5 + 1e-15
 
@@ -110,7 +109,7 @@ def test_rpca_polar_project_uses_numerics_svd(monkeypatch):
     monkeypatch.setattr(numerics, "svd", failing_svd)
     reg = RpcaRegularizer(lam=0.5)
     with pytest.raises(np.linalg.LinAlgError):
-        reg.polar_project(Point.pair(np.eye(2), np.eye(2)))
+        reg.polar_project(np.stack((np.eye(2), np.eye(2))))
 
 
 def test_svt_iteration_is_nuclear_prox():
@@ -118,7 +117,7 @@ def test_svt_iteration_is_nuclear_prox():
     rng = np.random.default_rng(32)
     m = rng.standard_normal((5, 3))
     a = svt(m, 0.9)
-    b = prox_norm(NormSpec("nuclear"), Point.matrix(m), 0.9).as_matrix()
+    b = prox_norm(NormSpec("nuclear"), m, 0.9)
     assert np.max(np.abs(a - b)) <= 1e-14
 
 
@@ -140,7 +139,7 @@ def test_small_matrix_completion_recovers_rank_one():
         p, SolveConfig(primal_tol=1e-10, max_iter=200_000, accelerated=True)
     )
     assert trace.termination == "feasibility_tol"
-    got = x.as_matrix()
+    got = x.data
     for (i, j), val in zip(omega, vals):
         assert got[i, j] == pytest.approx(val, abs=1e-8)
 
@@ -158,6 +157,6 @@ def test_rpca_splits_low_rank_plus_sparse():
         p, SolveConfig(primal_tol=1e-9, max_iter=200_000, accelerated=True)
     )
     assert trace.termination == "feasibility_tol"
-    lhat, shat = x.as_pair()
+    lhat, shat = x.data
     gap = np.linalg.norm(d - lhat - shat, "fro")
     assert gap <= 1e-8 * np.linalg.norm(d, "fro")

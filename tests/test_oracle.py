@@ -25,7 +25,7 @@ def test_identity_instance_is_shrinkage():
     xs, _, _ = solve(p, SolveConfig(primal_tol=1e-12))
     assert (x - xs).norm() <= 1e-8
     # with A = I feasibility forces x = b exactly
-    assert np.allclose(x.as_vector(), b, atol=1e-9)
+    assert np.allclose(x.data, b, atol=1e-9)
 
 
 def test_exact_solver_matches_iterative_on_random_instances():
@@ -100,12 +100,3 @@ def test_bruteforce_prox_caps():
         prox_bruteforce(lambda x: 0.0, np.zeros(4), 1.0, 11)
     with pytest.raises(ValueError):
         prox_bruteforce(lambda x: 0.0, np.zeros(2), 1.0, 501)
-
-
-def test_bruteforce_prox_accepts_points():
-    v = Point.vector([1.5])
-    out = prox_bruteforce(
-        lambda x: float(np.abs(x[0])), v, grid_half_width=2.0, grid_points=201
-    )
-    assert isinstance(out, Point)
-    assert out.as_vector()[0] == pytest.approx(0.5, abs=0.02)

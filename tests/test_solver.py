@@ -16,6 +16,7 @@ from augdual.solver import (
     default_step_size,
     dual_gradient,
     dual_objective,
+    estimated_bound,
     primal_from_dual,
     solve,
     step,
@@ -39,13 +40,13 @@ def test_hand_iteration_scalar():
     # A = I (1x1), b = (5), tau = mu = 1, h = 1:
     # x1 = 0, y1 = 5; x2 = shrink(5) = 4, y2 = 6
     p = ProblemSpec(Dense(np.eye(1)), Point.vector([5.0]), NormSpec("l1"), 1.0, 1.0)
-    s0 = DualState(k=0, y=Point.zeros(("vector", 1)), x=Point.zeros(("vector", 1)))
+    s0 = DualState(k=0, y=Point.zeros(1), x=Point.zeros(1))
     s1 = step(p, s0, 1.0)
-    assert s1.x.as_vector()[0] == 0.0
-    assert s1.y.as_vector()[0] == 5.0
+    assert s1.x.data[0] == 0.0
+    assert s1.y.data[0] == 5.0
     s2 = step(p, s1, 1.0)
-    assert s2.x.as_vector()[0] == 4.0
-    assert s2.y.as_vector()[0] == 6.0
+    assert s2.x.data[0] == 4.0
+    assert s2.y.data[0] == 6.0
 
 
 def test_step_size_interval():
@@ -89,7 +90,7 @@ def test_gradient_of_dual_objective():
                 dual_objective(p, y + Point.vector(e))
                 - dual_objective(p, y - Point.vector(e))
             ) / (2 * eps)
-        assert np.max(np.abs(fd - g.as_vector())) <= 1e-6 * (1 + g.norm())
+        assert np.max(np.abs(fd - g.data)) <= 1e-6 * (1 + g.norm())
 
 
 def test_solve_reaches_feasibility():
@@ -99,8 +100,8 @@ def test_solve_reaches_feasibility():
     r = (p.b - p.op.apply(x)).norm()
     assert r <= 1e-10 * max(1.0, p.b.norm())
     # returned pair is consistent: x is the prox image of the returned y
-    x_check, _ = primal_from_dual(p, y)
-    assert (x - x_check).norm() == 0.0
+    x_check, _ = primal_from_dual(p, y.data)
+    assert np.linalg.norm(x.data - x_check) == 0.0
     assert len(trace.records) == trace.records[-1].k
 
 
@@ -157,7 +158,7 @@ def test_gauge_problems_require_mu_equal_tau():
 
 
 def test_zero_rhs_terminates_immediately():
-    p = ProblemSpec(Dense(np.eye(3)), Point.zeros(("vector", 3)), NormSpec("l1"), 1.0, 1.0)
+    p = ProblemSpec(Dense(np.eye(3)), Point.zeros(3), NormSpec("l1"), 1.0, 1.0)
     x, y, trace = solve(p, SolveConfig())
     assert trace.termination == "feasibility_tol"
     assert len(trace.records) == 1
@@ -174,8 +175,8 @@ def test_bound_below_norm_ends_in_numerical_failure(accelerated):
     assert trace.termination == "numerical_failure"
     assert len(trace.records) < 1000
     assert np.all(np.isfinite(x.data)) and np.all(np.isfinite(y.data))
-    x_check, _ = primal_from_dual(p, y)
-    assert (x - x_check).norm() == 0.0
+    x_check, _ = primal_from_dual(p, y.data)
+    assert np.linalg.norm(x.data - x_check) == 0.0
     last = trace.records[-1]
     assert not all(
         np.isfinite(v) for v in (last.primal_residual, last.x_change, last.y_change)
@@ -203,7 +204,7 @@ class _FullProductDense(Dense):
     """Reference forward map: the full matrix-vector product for every x."""
 
     def _apply(self, x):
-        return Point.vector(self.matrix @ x.as_vector())
+        return self.matrix @ x
 
 
 def test_sparse_forward_map_keeps_the_iterates():
@@ -221,4 +222,36 @@ def test_sparse_forward_map_keeps_the_iterates():
     assert trace.termination == trace_ref.termination == "feasibility_tol"
     assert len(trace.records) == len(trace_ref.records)
     assert (x - x_ref).norm() <= 1e-12 * x_ref.norm()
-    assert np.count_nonzero(x.data) <= SPARSE_APPLY_FRACTION * x.size
+    assert np.count_nonzero(x.data) <= SPARSE_APPLY_FRACTION * x.data.size
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(kind="aug_l1", seed=3, m=10, n=30, k=2),
+        dict(kind="matrix_completion", seed=3, rows=6, cols=5, rank=1, p=0.8),
+        dict(kind="rpca", seed=3, rows=5, cols=4, rank=1, k=2, lam=0.5),
+    ],
+    ids=lambda spec: spec["kind"],
+)
+def test_solve_builds_at_most_four_points_per_iteration(spec, monkeypatch):
+    # The loop runs on arrays and wraps a Point only around the adjoint and
+    # forward maps (argument and result of each); two more wrap the result.
+    model, truth = generate_instance(InstanceSpec(**spec))
+    magnitude = float(np.max(np.abs(truth.data))) if spec["kind"] == "aug_l1" else None
+    p = build_problem(dataclasses.replace(model, tau=tau_heuristic(model, magnitude)))
+    bound = estimated_bound(p)
+    built = 0
+    post_init = Point.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Point, "__post_init__", counting_post_init)
+    _, _, trace = solve(p, SolveConfig(primal_tol=1e-8, accelerated=True), norm_bound=bound)
+    iterations = len(trace.records)
+    assert trace.termination == "feasibility_tol"
+    assert iterations >= 20
+    assert built <= 4 * iterations + 2
