@@ -7,10 +7,12 @@ sparse-vector, matrix-completion, and low-rank-plus-sparse problems.
 
 Each operator declares numpy ``domain_shape``/``codomain_shape`` and maps
 arrays to arrays in ``_apply``/``_adjoint``; ``apply``/``adjoint`` check a
-Point's shape and wrap the result. Three operator variants are supported:
+Point's shape and wrap the result, and ``apply_normal`` returns the pair
+(Ax, A*Ax) the dual iteration needs. Three operator variants are supported:
 
-* Dense: an explicit matrix acting on vectors (the forward map reads only
-  the columns on the support of a sparse x);
+* Dense: an explicit matrix acting on vectors (on a sparse x the forward
+  map reads only the support columns, and A*Ax comes from the Gram rows of
+  the support, both kept while the support stays the same);
 * SamplingMask: element selection at an index set Omega, mapping a matrix
   to the compact vector of sampled entries (adjoint zero-fills);
 * BlockSum: (L, S) -> L + S, whose adjoint duplicates.
@@ -117,6 +119,11 @@ class LinearOperator:
             raise ValueError(f"codomain mismatch: {y.data.shape} vs {self.codomain_shape}")
         return Point(self._adjoint(y.data))
 
+    def apply_normal(self, x: Point) -> Tuple[Point, Point]:
+        """(Ax, A*Ax): the forward map and the normal map of one x."""
+        ax = self.apply(x)
+        return ax, self.adjoint(ax)
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -124,19 +131,61 @@ class LinearOperator:
         raise NotImplementedError
 
 
+class _SupportBlocks:
+    """Blocks of a Dense matrix on the support S of the last sparse x: the
+    columns A[:, S] and the Gram rows (A*A)[S], each kept until a call
+    brings another support. A new Gram block copies the rows it shares with
+    the old one and computes each other row A*a_j by one matrix-vector
+    product, so a row's bits never depend on which supports came before.
+    A support is a sorted index array, as np.flatnonzero returns."""
+
+    def __init__(self, matrix: np.ndarray):
+        self._matrix = matrix
+        none = np.zeros(0, dtype=np.intp)
+        self._columns = (none, matrix[:, none])
+        self._gram = (none, np.zeros((0, matrix.shape[1])))
+
+    def columns(self, support: np.ndarray) -> np.ndarray:
+        if support.tobytes() != self._columns[0].tobytes():
+            self._columns = (support, self._matrix[:, support])
+        return self._columns[1]
+
+    def gram(self, support: np.ndarray) -> np.ndarray:
+        old, rows = self._gram
+        if support.tobytes() == old.tobytes():
+            return rows
+        block = np.empty((support.size, self._matrix.shape[1]))
+        if old.size:
+            # An unbuffered take (no temporary block); the rows it puts at
+            # indices new to the support are replaced below.
+            np.take(rows, np.searchsorted(old, support), axis=0, out=block, mode="clip")
+        for i in np.flatnonzero(~np.isin(support, old, assume_unique=True)):
+            block[i] = self._matrix.T @ self._matrix[:, support[i]]
+        self._gram = (support, block)
+        return block
+
+
 @dataclass(frozen=True, eq=False)
 class Dense(LinearOperator):
-    """Explicit m-by-n matrix acting on vectors."""
+    """Explicit m-by-n matrix acting on vectors.
+
+    ``matrix`` is a read-only view of the caller's array, and the operator
+    caches products computed from it: the caller must not mutate that array
+    afterwards. The cache also makes one Dense unsafe to use from several
+    threads at once.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float).view()
         if mat.ndim != 2:
             raise ValueError("dense operator needs a 2-D matrix")
         if not np.isfinite(mat).all():
             raise ValueError("dense operator entries must be finite")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_blocks", _SupportBlocks(mat))
 
     @property
     def domain_shape(self) -> Tuple[int]:
@@ -149,11 +198,28 @@ class Dense(LinearOperator):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         nz = np.flatnonzero(x)
         if nz.size <= SPARSE_APPLY_FRACTION * x.size:
-            return self.matrix[:, nz] @ x[nz]
+            return self._blocks.columns(nz) @ x[nz]
         return self.matrix @ x
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ y
+
+    def apply_normal(self, x: Point) -> Tuple[Point, Point]:
+        """(Ax, A*Ax); on a sparse x, A*Ax = sum over the support S of
+        x_j A*a_j, from the Gram rows of S.
+
+        Taken when the forward map takes its sparse path and nnz(x) < m, so
+        the block holds fewer rows than A. It costs O(n * nnz(x)) against
+        O(m * n) for the adjoint, plus O(m * n) per index that enters the
+        support; linearized-Bregman iterates keep their support on most
+        iterations. The rows are summed in support order.
+        """
+        ax = self.apply(x)
+        m, n = self.matrix.shape
+        nz = np.flatnonzero(x.data)
+        if nz.size > SPARSE_APPLY_FRACTION * n or nz.size >= m:
+            return ax, self.adjoint(ax)
+        return ax, Point(x.data[nz] @ self._blocks.gram(nz))
 
 
 @dataclass(frozen=True, eq=False)

@@ -176,3 +176,70 @@ def test_adjoint_identity_with_sparse_x(monkeypatch):
     monkeypatch.setattr(linop, "random_point", sparse_point)
     op = Dense(np.random.default_rng(14).standard_normal((50, 300)))
     assert adjoint_consistency_check(op, trials=50, seed=123) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(60, 250), (250, 60), (10, 250)],
+                         ids=["wide", "tall", "flat"])
+@pytest.mark.parametrize("which", ["zero", "one", "cutoff", "cutoff+1", "m"])
+def test_dense_apply_normal_matches_adjoint_of_apply(shape, which, monkeypatch):
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal(shape)
+    m, n = shape
+    nnz = {"zero": 0, "one": 1, "cutoff": _cutoff(n), "cutoff+1": _cutoff(n) + 1,
+           "m": min(m, n)}[which]
+    x = Point.vector(_sparse_vector(n, nnz, rng))
+    op = Dense(a)
+    want = op.adjoint(op.apply(x)).data
+    adjoints = 0
+    adjoint = Dense._adjoint
+
+    def counting_adjoint(self, y):
+        nonlocal adjoints
+        adjoints += 1
+        return adjoint(self, y)
+
+    monkeypatch.setattr(Dense, "_adjoint", counting_adjoint)
+    ax, atax = op.apply_normal(x)
+    assert np.array_equal(ax.data, op.apply(x).data)
+    assert atax.data.shape == (n,)
+    # At nnz = 0 the bound demands exact zeros.
+    assert np.linalg.norm(atax.data - want) <= 1e-13 * np.linalg.norm(want)
+    # The Gram rows replace the adjoint exactly when the forward map is
+    # sparse and the support is smaller than m.
+    assert adjoints == (0 if nnz <= SPARSE_APPLY_FRACTION * n and nnz < m else 1)
+
+
+def test_dense_apply_normal_bits_do_not_depend_on_earlier_supports():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((60, 250))
+    nnz = _cutoff(250)
+    cols = rng.permutation(250)
+    support, other = np.sort(cols[:nnz]), np.sort(cols[nnz:2 * nnz])
+    x = np.zeros(250)
+    x[support] = rng.standard_normal(nnz)
+    x_other = np.zeros(250)
+    x_other[other] = rng.standard_normal(nnz)
+    x_half = np.where(np.arange(250) >= np.median(support), x, 0.0)
+    x_more = x + np.where(np.isin(np.arange(250), other[:3]), 1.0, 0.0)
+
+    cold = Dense(a).apply_normal(Point(x))[1].data
+    # Before x: half its support (the rest is computed on top), a disjoint
+    # support (every row computed afresh), a superset (rows dropped).
+    for before in (x_half, x_other, x_more):
+        op = Dense(a)
+        op.apply_normal(Point(before))
+        assert op.apply_normal(Point(x))[1].data.tobytes() == cold.tobytes()
+        assert op.apply_normal(Point(x))[1].data.tobytes() == cold.tobytes()
+    # New values on a kept support.
+    y = np.where(x != 0, rng.standard_normal(250), 0.0)
+    assert (op.apply_normal(Point(y))[1].data.tobytes()
+            == Dense(a).apply_normal(Point(y))[1].data.tobytes())
+    assert np.array_equal(op.apply_normal(Point(np.zeros(250)))[1].data, np.zeros(250))
+
+
+def test_dense_matrix_is_read_only():
+    a = np.random.default_rng(21).standard_normal((4, 6))
+    op = Dense(a)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+    assert a.flags.writeable

@@ -5,7 +5,7 @@ import pytest
 
 from augdual.cli import InstanceSpec, generate_instance
 from augdual.gauge import NormGauge
-from augdual.linop import SPARSE_APPLY_FRACTION, Dense, Point
+from augdual.linop import SPARSE_APPLY_FRACTION, Dense, LinearOperator, Point
 from augdual.models import build_problem, tau_heuristic
 from augdual.prox import NormSpec
 from augdual.solver import (
@@ -201,7 +201,10 @@ def test_trace_records_are_a_read_only_view():
 
 
 class _FullProductDense(Dense):
-    """Reference forward map: the full matrix-vector product for every x."""
+    """Reference maps: the full matrix-vector product for every x, and A*Ax
+    as the adjoint of Ax."""
+
+    apply_normal = LinearOperator.apply_normal
 
     def _apply(self, x):
         return self.matrix @ x
@@ -225,21 +228,26 @@ def test_sparse_forward_map_keeps_the_iterates():
     assert np.count_nonzero(x.data) <= SPARSE_APPLY_FRACTION * x.data.size
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        dict(kind="aug_l1", seed=3, m=10, n=30, k=2),
-        dict(kind="matrix_completion", seed=3, rows=6, cols=5, rank=1, p=0.8),
-        dict(kind="rpca", seed=3, rows=5, cols=4, rank=1, k=2, lam=0.5),
-    ],
-    ids=lambda spec: spec["kind"],
-)
-def test_solve_builds_at_most_four_points_per_iteration(spec, monkeypatch):
-    # The loop runs on arrays and wraps a Point only around the adjoint and
-    # forward maps (argument and result of each); two more wrap the result.
+_SMALL_SPECS = [
+    dict(kind="aug_l1", seed=3, m=10, n=30, k=2),
+    dict(kind="matrix_completion", seed=3, rows=6, cols=5, rank=1, p=0.8),
+    dict(kind="rpca", seed=3, rows=5, cols=4, rank=1, k=2, lam=0.5),
+]
+
+
+def _small_problem(spec):
     model, truth = generate_instance(InstanceSpec(**spec))
     magnitude = float(np.max(np.abs(truth.data))) if spec["kind"] == "aug_l1" else None
-    p = build_problem(dataclasses.replace(model, tau=tau_heuristic(model, magnitude)))
+    return build_problem(dataclasses.replace(model, tau=tau_heuristic(model, magnitude)))
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS, ids=lambda spec: spec["kind"])
+def test_solve_builds_at_most_three_points_per_iteration(spec, monkeypatch):
+    # The loop runs on arrays and wraps a Point around x and around the two
+    # results of apply_normal. The constant: A*b once; at the stop the exact
+    # A*w (argument and result) and, when its bits differ from the carried
+    # one, x, Ax and A*Ax again; the returned pair.
+    p = _small_problem(spec)
     bound = estimated_bound(p)
     built = 0
     post_init = Point.__post_init__
@@ -254,4 +262,53 @@ def test_solve_builds_at_most_four_points_per_iteration(spec, monkeypatch):
     iterations = len(trace.records)
     assert trace.termination == "feasibility_tol"
     assert iterations >= 20
-    assert built <= 4 * iterations + 2
+    assert built <= 3 * iterations + 8
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS[1:], ids=lambda spec: spec["kind"])
+def test_carried_adjoint_keeps_the_textbook_iterates(spec):
+    # For the sampling and block-sum operators, carrying A*y through the
+    # loop gives the same bits as taking the adjoint of every iterate.
+    p = _small_problem(spec)
+    bound = estimated_bound(p)
+    iterations = 30
+    x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14),
+                        norm_bound=bound)
+    assert trace.termination == "max_iter"
+    h = default_step_size(p, bound)
+    s = DualState(k=0, y=Point.zeros(p.op.codomain_shape), x=Point.zeros(p.op.domain_shape))
+    for _ in range(iterations):
+        s = step(p, s, h)
+    assert y.data.tobytes() == s.y.data.tobytes()
+    assert x.data.tobytes() == step(p, s, h).x.data.tobytes()
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS[1:], ids=lambda spec: spec["kind"])
+def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
+    # The same with momentum and restart, against the accelerated iteration
+    # written out on Points with one adjoint per gradient.
+    p = _small_problem(spec)
+    bound = estimated_bound(p)
+    iterations = 40
+    x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14,
+                                       accelerated=True), norm_bound=bound)
+    assert trace.termination == "max_iter"
+    h = default_step_size(p, bound)
+    y_ref = w = Point.zeros(p.op.codomain_shape)
+    t = 1.0
+    restarts = 0
+    for _ in range(iterations):
+        r = -dual_gradient(p, w)
+        y_next = w + r * h
+        dy = y_next - y_ref
+        if r.dot(dy) < 0.0:
+            w, t = y_next, 1.0
+            restarts += 1
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            w = y_next + dy * float((t - 1.0) / t_next)
+            t = t_next
+        y_ref = y_next
+    assert restarts > 0
+    assert y.data.tobytes() == y_ref.data.tobytes()
+    assert x.data.tobytes() == primal_from_dual(p, y_ref.data)[0].tobytes()
