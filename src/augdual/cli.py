@@ -20,10 +20,10 @@ iterate or residual).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -42,8 +42,6 @@ from .solver import (
     ConfigurationError,
     SolveConfig,
     SolveTrace,
-    default_step_size,
-    estimated_bound,
     solve,
 )
 
@@ -56,7 +54,7 @@ EXIT_NUMERICAL = 5
 _FLOAT_FMT = "%.16e"  # 17 significant digits: exact round trip for doubles
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class InstanceSpec:
     """Synthetic instance description (exact-data regime, seeded)."""
 
@@ -101,7 +99,7 @@ class InstanceSpec:
         return InstanceSpec(**d)
 
 
-def generate_instance(spec: InstanceSpec) -> Tuple[object, Optional[Point]]:
+def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
     """Seeded synthetic instance; returns (model with tau unset, truth)."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "aug_l1":
@@ -181,7 +179,7 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
     return path
 
 
-def load_instance(path) -> Tuple[object, Optional[Point]]:
+def load_instance(path) -> Tuple[object, Point]:
     """Load an instance stored by write_instance."""
     path = Path(path)
     with open(path) as fh:
@@ -239,9 +237,7 @@ def read_trace(path) -> SolveTrace:
     return trace
 
 
-def _magnitude_for_rule(model, truth: Optional[Point]) -> Optional[float]:
-    if truth is None:
-        return None
+def _magnitude_for_rule(model, truth: Point) -> Optional[float]:
     if isinstance(model, AugL1Model):
         return float(np.max(np.abs(truth.data)))
     return None
@@ -260,9 +256,7 @@ def _tau_from_config(cfg: dict, model, truth) -> float:
     return tau_heuristic(model, magnitude=_magnitude_for_rule(model, truth))
 
 
-def _recovery_error(model, x: Point, truth: Optional[Point]) -> Optional[float]:
-    if truth is None:
-        return None
+def _recovery_error(x: Point, truth: Point) -> Optional[float]:
     tnorm = truth.norm()
     if tnorm == 0:
         return None
@@ -286,7 +280,7 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     problem = build_problem(model)
 
     solve_cfg = cfg.get("solve", {})
-    known = {"h", "max_iter", "primal_tol", "accelerated", "restart"}
+    known = {"h", "max_iter", "primal_tol", "accelerated"}
     extra = set(solve_cfg) - known
     if extra:
         raise ConfigurationError(f"unknown solve fields: {sorted(extra)}")
@@ -295,15 +289,10 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         max_iter=int(solve_cfg.get("max_iter", 100_000)),
         primal_tol=float(solve_cfg.get("primal_tol", 1e-8)),
         accelerated=bool(solve_cfg.get("accelerated", False)),
-        restart=bool(solve_cfg.get("restart", True)),
-    )
-    norm_bound = estimated_bound(problem)
-    h_used = (
-        config.h if config.h is not None else default_step_size(problem, norm_bound)
     )
 
     start = time.perf_counter()
-    x, y, trace = solve(problem, config, norm_bound=norm_bound)
+    x, y, trace = solve(problem, config)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     report_kkt = kkt_residual(problem, x, y)
 
@@ -313,13 +302,13 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         "termination": trace.termination,
         "primal_residual": trace.records[-1].primal_residual,
         "kkt_max_violation": report_kkt.max_violation,
-        "recovery_error": _recovery_error(model, x, truth),
+        "recovery_error": _recovery_error(x, truth),
         # Measured wall time is printed to stdout; the report keeps the
         # field but stores null so identical configs give identical bytes.
         "wall_ms": None,
         "tau": problem.tau,
-        "norm_bound": norm_bound,
-        "h": h_used,
+        "norm_bound": trace.norm_bound,
+        "h": trace.h,
     }
     out_cfg = cfg.get("output", {})
     if "trace" in out_cfg:
@@ -358,18 +347,14 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
 
 
 def _with_tau(model, tau: float):
-    import dataclasses
-
     return dataclasses.replace(model, tau=tau)
 
 
 def _model_kind(model) -> str:
     return {
         "AugL1Model": "aug_l1",
-        "AugNuclearModel": "aug_nuclear",
         "MatrixCompletionModel": "matrix_completion",
         "RpcaModel": "rpca",
-        "GaugeModel": "gauge",
     }[type(model).__name__]
 
 

@@ -1,9 +1,10 @@
 """Gauges, polar sets, and polar gauges.
 
-A gauge is described by one of three variants:
+A gauge is described by one of two variants:
 
 * NormGauge: a catalog norm viewed as the gauge of its unit ball;
-* DiagWeighted: x -> sum w_i |x_i| with strictly positive weights;
+  DiagWeighted(w), x -> sum w_i |x_i| with strictly positive weights, is
+  the NormGauge of the weighted l1 norm;
 * PolyhedralPolar: the polar set is given directly as conv(V + {0}) for a
   finite vertex list V. The gauge itself is then the support function of
   that polytope, and projections onto it run a Wolfe-type min-norm-point
@@ -24,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .prox import NormSpec, dual_ball_project, dual_norm_value, norm_value, soft_threshold
+from .prox import NormSpec, dual_ball_project, dual_norm_value, norm_value
 
 DEFAULT_TOL = 1e-10
 MAX_MNP_ITER = 10_000
@@ -65,15 +66,9 @@ class NormGauge(Gauge):
     norm: NormSpec
 
 
-@dataclass(frozen=True, eq=False)
-class DiagWeighted(Gauge):
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size == 0 or np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be strictly positive and finite")
-        object.__setattr__(self, "weights", w)
+def DiagWeighted(weights) -> NormGauge:
+    """The gauge x -> sum w_i |x_i|: the weighted l1 norm."""
+    return NormGauge(NormSpec("l1", weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +93,7 @@ class PolyhedralPolar(Gauge):
         return np.vstack([scale * self.vertices, np.zeros((1, self.vertices.shape[1]))])
 
 
-GaugeSpec = Union[NormGauge, DiagWeighted, PolyhedralPolar]
+GaugeSpec = Union[NormGauge, PolyhedralPolar]
 
 
 def _check_dim(g, v: np.ndarray, dim: int):
@@ -111,9 +106,6 @@ def gauge_eval(g: GaugeSpec, x: np.ndarray) -> float:
     variant)."""
     if isinstance(g, NormGauge):
         return norm_value(g.norm, x)
-    if isinstance(g, DiagWeighted):
-        _check_dim(g, x, g.weights.size)
-        return float(g.weights @ np.abs(x).ravel())
     _check_dim(g, x, g.vertices.shape[1])
     return max(0.0, float(np.max(g.vertices @ x.ravel())))
 
@@ -123,11 +115,6 @@ def polar_gauge_eval(g: GaugeSpec, u: np.ndarray) -> float:
     outside every dilation of C°."""
     if isinstance(g, NormGauge):
         return dual_norm_value(g.norm, u)
-    if isinstance(g, DiagWeighted):
-        _check_dim(g, u, g.weights.size)
-        if u.size == 0:
-            return 0.0
-        return float(np.max(np.abs(u).ravel() / g.weights))
     _check_dim(g, u, g.vertices.shape[1])
     return _polyhedral_polar_gauge(g, u.ravel())
 
@@ -245,10 +232,6 @@ def polar_project(
         raise ValueError("tol must be positive")
     if isinstance(g, NormGauge):
         return dual_ball_project(g.norm, v, radius=scale)
-    if isinstance(g, DiagWeighted):
-        _check_dim(g, v, g.weights.size)
-        bound = scale * g.weights.reshape(v.shape)
-        return np.clip(v, -bound, bound)
     _check_dim(g, v, g.vertices.shape[1])
     shifted = g.polytope(scale) - v.ravel()
     x = _min_norm_point(shifted, tol)
@@ -262,8 +245,5 @@ def gauge_prox(
     v minus the projection onto scale * C°."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if isinstance(g, DiagWeighted):
-        _check_dim(g, v, g.weights.size)
-        return soft_threshold(v, scale * g.weights.reshape(v.shape))
     z = polar_project(g, v, tol=tol, scale=scale)
     return v - z

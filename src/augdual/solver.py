@@ -79,11 +79,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Step size, budget, and tolerances for one solve.
+    """Step size, budget, tolerance, starting point and variant of one solve.
 
     ``h = None`` picks mu / (tau * bound^2) with bound the inflated Lanczos
-    estimate of ||A|| (``estimated_bound``). A nonzero y0 needs
-    warm_start=True.
+    estimate of ||A|| (``estimated_bound``); ``validate_config`` checks a
+    given h. ``y0`` warm-starts the dual iterate (zero when None).
+    ``accelerated`` adds Nesterov momentum with adaptive restart.
     """
 
     h: Optional[float] = None
@@ -91,12 +92,10 @@ class SolveConfig:
     primal_tol: float = 1e-8
     y0: Optional[Point] = None
     accelerated: bool = False
-    restart: bool = True
-    warm_start: bool = False
 
     def __post_init__(self):
-        if self.primal_tol <= 0:
-            raise ConfigurationError("primal_tol must be positive")
+        if not (math.isfinite(self.primal_tol) and self.primal_tol > 0):
+            raise ConfigurationError("primal_tol must be finite and positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
 
@@ -120,7 +119,8 @@ class TraceRecord:
 
 
 class SolveTrace:
-    """Per-iteration trace and termination reason.
+    """Per-iteration trace, termination reason, and the bound on ||A|| and
+    step h the solve used (None on a trace read back from CSV).
 
     The columns live in typed buffers (40 bytes per iteration); ``records``
     is a read-only sequence that builds a TraceRecord per row on access.
@@ -128,6 +128,8 @@ class SolveTrace:
 
     def __init__(self, records: Iterable[TraceRecord] = (), termination: str = "max_iter"):
         self.termination = termination
+        self.norm_bound: Optional[float] = None
+        self.h: Optional[float] = None
         # One buffer per TraceRecord field, in field order.
         self._columns = (array("q"),) + tuple(array("d") for _ in range(4))
         for rec in records:
@@ -205,25 +207,29 @@ def default_step_size(p: ProblemSpec, norm_bound: float) -> float:
     return p.mu / (p.tau * norm_bound**2)
 
 
-def validate_config(p: ProblemSpec, c: SolveConfig, norm_bound: float) -> None:
-    """Reject step sizes outside the open interval (0, 2mu/(tau*||A||^2))
-    and nonzero warm starts without the explicit flag."""
+def validate_config(p: ProblemSpec, c: SolveConfig, norm_bound: float) -> float:
+    """The step h a solve with bound norm_bound on ||A|| uses.
+
+    A given c.h must lie in the open interval (0, 2mu/(tau*bound^2)), and
+    for an accelerated solve at most the 1/L step mu/(tau*bound^2), which
+    is the step taken when c.h is None.
+    """
     if norm_bound <= 0:
         raise ConfigurationError("norm_bound must be positive")
-    if c.h is not None:
-        upper = step_size_bound(p, norm_bound)
-        if not (0.0 < c.h < upper):
-            raise ConfigurationError(
-                f"step size h={c.h!r} outside the admissible open interval "
-                f"(0, {upper!r})"
-            )
-        if c.accelerated and c.h > default_step_size(p, norm_bound):
-            raise ConfigurationError(
-                f"accelerated solve needs h <= {default_step_size(p, norm_bound)!r} "
-                f"(the 1/L bound); got {c.h!r}"
-            )
-    if c.y0 is not None and c.y0.norm() > 0 and not c.warm_start:
-        raise ConfigurationError("nonzero y0 requires warm_start=True")
+    cap = default_step_size(p, norm_bound)
+    if c.h is None:
+        return float(cap)
+    upper = step_size_bound(p, norm_bound)
+    if not (0.0 < c.h < upper):
+        raise ConfigurationError(
+            f"step size h={c.h!r} outside the admissible open interval "
+            f"(0, {upper!r})"
+        )
+    if c.accelerated and c.h > cap:
+        raise ConfigurationError(
+            f"accelerated solve needs h <= {cap!r} (the 1/L bound); got {c.h!r}"
+        )
+    return float(c.h)
 
 
 def _initial_state(p: ProblemSpec, c: SolveConfig) -> np.ndarray:
@@ -277,20 +283,21 @@ def solve(
 
     Each iteration takes a gradient step from w. Plain descent has w = y.
     With ``c.accelerated``, w extrapolates the last two iterates (Nesterov
-    momentum), and with ``c.restart`` the momentum resets whenever
-    <grad D(w), y_next - y> > 0, i.e. when it stops being a descent
-    direction; the first step equals a plain one.
+    momentum), and the momentum resets whenever <grad D(w), y_next - y> > 0,
+    i.e. when it stops being a descent direction; the first step equals a
+    plain one. ``norm_bound`` (default ``estimated_bound(p)``) is the bound
+    on ||A|| that ``validate_config`` turns into the step h.
 
     Returns the last consistent primal-dual pair (x, y) with
-    x = tau*prox(A*y/mu), and the per-iteration trace. Termination is
+    x = tau*prox(A*y/mu), and the per-iteration trace, which records
+    norm_bound and h. Termination is
     feasibility_tol, suspected_infeasible, max_iter, or numerical_failure
     (the residual, x change or y change is not finite; the returned pair is
     the finite one that produced it).
     """
     if norm_bound is None:
         norm_bound = estimated_bound(p)
-    validate_config(p, c, norm_bound)
-    h = float(c.h if c.h is not None else default_step_size(p, norm_bound))
+    h = validate_config(p, c, norm_bound)
 
     op = p.op
     b = p.b.data
@@ -311,6 +318,8 @@ def solve(
     x_prev: Optional[np.ndarray] = None
     tol = c.primal_tol * max(1.0, p.b.norm())
     trace = SolveTrace()
+    trace.norm_bound = norm_bound
+    trace.h = h
     residuals: deque = deque(maxlen=_STALL_WINDOW + 1)
     adjoints: deque = deque(maxlen=_STALL_WINDOW + 1)
     # A diverging solve overflows in norms and products before the
@@ -348,7 +357,7 @@ def solve(
                 trace.termination = "suspected_infeasible"
                 return Point(primal_from_dual(p, w)[0]), Point(w), trace
             z_next = z_w + (atb - atax) * h
-            if c.accelerated and not (c.restart and _dot(r, dy) < 0.0):
+            if c.accelerated and not _dot(r, dy) < 0.0:
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
                 beta = float((t - 1.0) / t_next)
                 w = y_next + dy * beta

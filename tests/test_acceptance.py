@@ -28,12 +28,12 @@ from augdual.solver import (
     default_step_size,
     dual_gradient,
     dual_objective,
+    estimated_bound,
     solve,
     step,
     step_size_bound,
     validate_config,
 )
-from augdual.numerics import operator_norm_estimate
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -55,7 +55,7 @@ def ref_problem():
     model, truth = generate_instance(REF_SPEC)
     tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
     p = build_problem(AugL1Model(model.A, model.b, tau=tau))
-    bound = operator_norm_estimate(p.op) * 1.01
+    bound = estimated_bound(p)
     return p, bound
 
 
@@ -285,7 +285,7 @@ def test_criterion_6_svt_reproduction():
     p = build_problem(
         MatrixCompletionModel(model.shape, model.omega, model.sampled_values, tau=tau)
     )
-    bound = operator_norm_estimate(p.op) * 1.01
+    bound = estimated_bound(p)
     h = default_step_size(p, bound)
 
     # hand-coded SVT recursion on the compact sample vector

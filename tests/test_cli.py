@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from augdual import numerics
+from augdual import cli, numerics
 from augdual.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITER,
@@ -105,6 +106,7 @@ def test_trace_roundtrip_exact(tmp_path):
     path = tmp_path / "trace.csv"
     emit_trace(trace, path)
     back = read_trace(path)
+    assert back.norm_bound is None and back.h is None
     for a, b in zip(trace.records, back.records):
         assert a.k == b.k
         assert a.primal_residual == b.primal_residual
@@ -125,7 +127,16 @@ def _solve_cfg(**extra):
     return cfg
 
 
-def test_run_experiment_end_to_end(tmp_path, capsys):
+def test_run_experiment_end_to_end(tmp_path, capsys, monkeypatch):
+    traces = []
+    cli_solve = cli.solve
+
+    def recording_solve(problem, config):
+        result = cli_solve(problem, config)
+        traces.append(result[2])
+        return result
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
     report, code = run_experiment(_solve_cfg(), base_dir=tmp_path)
     assert code == EXIT_OK
     assert report["termination"] == "feasibility_tol"
@@ -143,6 +154,8 @@ def test_run_experiment_end_to_end(tmp_path, capsys):
     problem = build_problem(dataclasses.replace(model, tau=report["tau"]))
     assert report["norm_bound"] == estimated_bound(problem)
     assert report["h"] == default_step_size(problem, report["norm_bound"])
+    [solved] = traces
+    assert (report["norm_bound"], report["h"]) == (solved.norm_bound, solved.h)
 
 
 def test_reports_and_traces_are_byte_identical(tmp_path):
@@ -250,6 +263,18 @@ def test_main_config_exit_code(tmp_path):
     _write_json(cfg_path, {"tau": {"rule": "heuristic"}})
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "solve_cfg",
+    [{"primal_tol": math.inf}, {"primal_tol": math.nan}, {"restart": True}],
+    ids=["primal_tol_inf", "primal_tol_nan", "restart"],
+)
+def test_main_rejects_bad_solve_fields(solve_cfg, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, _solve_cfg(solve=solve_cfg, output={}))
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):

@@ -53,7 +53,7 @@ def test_step_size_interval():
     p, _ = _l1_problem()
     bound = step_size_bound(p, 2.0)
     assert bound == pytest.approx(2.0 * p.mu / (p.tau * 4.0))
-    validate_config(p, SolveConfig(h=0.5 * bound), 2.0)
+    assert validate_config(p, SolveConfig(h=0.5 * bound), 2.0) == 0.5 * bound
     for bad in (0.0, -1.0, bound, 1.5 * bound):
         with pytest.raises(ConfigurationError):
             validate_config(p, SolveConfig(h=bad), 2.0)
@@ -65,14 +65,6 @@ def test_accelerated_step_cap():
     validate_config(p, SolveConfig(h=cap, accelerated=True), 2.0)
     with pytest.raises(ConfigurationError):
         validate_config(p, SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
-
-
-def test_warm_start_needs_flag():
-    p, _ = _l1_problem()
-    y0 = Point.vector(np.ones(4))
-    with pytest.raises(ConfigurationError):
-        validate_config(p, SolveConfig(y0=y0), 2.0)
-    validate_config(p, SolveConfig(y0=y0, warm_start=True), 2.0)
 
 
 def test_gradient_of_dual_objective():
@@ -133,12 +125,22 @@ def test_warm_start_resumes():
     p, _ = _l1_problem()
     x1, y1, tr1 = solve(p, SolveConfig(max_iter=50, primal_tol=1e-10))
     assert tr1.termination == "max_iter"
-    x2, y2, tr2 = solve(
-        p, SolveConfig(primal_tol=1e-10, y0=y1, warm_start=True)
-    )
+    x2, y2, tr2 = solve(p, SolveConfig(primal_tol=1e-10, y0=y1))
     assert tr2.termination == "feasibility_tol"
     cold_total = len(solve(p, SolveConfig(primal_tol=1e-10))[2].records)
     assert 50 + len(tr2.records) <= cold_total + 2
+
+
+def test_trace_records_bound_and_step():
+    p, _ = _l1_problem()
+    _, _, trace = solve(p, SolveConfig(primal_tol=1e-10))
+    assert trace.norm_bound == estimated_bound(p)
+    assert trace.h == default_step_size(p, trace.norm_bound)
+    h = 0.5 * default_step_size(p, 2.0)
+    for accelerated in (False, True):
+        _, _, trace = solve(p, SolveConfig(h=h, max_iter=5, accelerated=accelerated),
+                            norm_bound=2.0)
+        assert (trace.norm_bound, trace.h) == (2.0, h)
 
 
 def test_inconsistent_system_flags_suspected_infeasible():
