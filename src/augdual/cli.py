@@ -70,6 +70,15 @@ class InstanceSpec:
     lam: float = 0.25
 
     def __post_init__(self):
+        # Each field's value must be of its annotated type; an int is also a
+        # float, and a bool (JSON true/false) is neither.
+        kinds = {"str": str, "int": (int, np.integer), "float": (int, float, np.integer)}
+        for name, field in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds[field.type]) or isinstance(value, bool):
+                raise ValueError(
+                    f"instance field {name!r} must be of type {field.type}, got {value!r}"
+                )
         if self.kind == "aug_l1":
             if not (1 <= self.k <= self.n) or self.m < 1:
                 raise ValueError("aug_l1 needs 1 <= k <= n and m >= 1")
@@ -90,6 +99,8 @@ class InstanceSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "InstanceSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"instance must be an object, got {d!r}")
         known = {f for f in InstanceSpec.__dataclass_fields__}
         extra = set(d) - known
         if extra:
@@ -118,10 +129,9 @@ def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
         total = spec.rows * spec.cols
         count = max(1, int(round(spec.p * total)))
         flat = np.sort(rng.choice(total, size=count, replace=False))
-        omega = tuple((int(f // spec.cols), int(f % spec.cols)) for f in flat)
-        values = np.array([M[i, j] for i, j in omega])
+        omega = np.column_stack(np.divmod(flat, spec.cols))
         model = MatrixCompletionModel(
-            shape=(spec.rows, spec.cols), omega=omega, sampled_values=values
+            shape=(spec.rows, spec.cols), omega=omega, sampled_values=M.ravel()[flat]
         )
         return model, Point.matrix(M)
     # rpca
@@ -162,7 +172,7 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
         _save_csv(out / "x0.csv", truth.data)
     elif spec.kind == "matrix_completion":
         meta.update(shape=[spec.rows, spec.cols], rank=spec.rank, p=spec.p)
-        meta["omega"] = [[i, j] for i, j in model.omega]
+        meta["omega"] = model.omega.tolist()
         meta["payload"] = {"sampled_values": "b.csv", "M0": "M0.csv"}
         _save_csv(out / "b.csv", model.sampled_values)
         _save_csv(out / "M0.csv", truth.data)
@@ -193,10 +203,9 @@ def load_instance(path) -> Tuple[object, Point]:
         x0 = _load_csv(base / payload["x0"]).ravel()
         return AugL1Model(A=A, b=b), Point.vector(x0)
     if kind == "matrix_completion":
-        omega = tuple((int(i), int(j)) for i, j in meta["omega"])
         values = _load_csv(base / payload["sampled_values"]).ravel()
         model = MatrixCompletionModel(
-            shape=tuple(meta["shape"]), omega=omega, sampled_values=values
+            shape=tuple(meta["shape"]), omega=meta["omega"], sampled_values=values
         )
         truth = Point.matrix(_load_csv(base / payload["M0"]))
         return model, truth
@@ -250,7 +259,10 @@ def _tau_from_config(cfg: dict, model, truth) -> float:
             "config field 'tau' must carry exactly one of 'rule' or 'value'"
         )
     if "value" in tau_cfg:
-        return float(tau_cfg["value"])
+        value = tau_cfg["value"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigurationError(f"tau value must be a number, got {value!r}")
+        return value
     if tau_cfg["rule"] != "heuristic":
         raise ConfigurationError(f"unknown tau rule {tau_cfg['rule']!r}")
     return tau_heuristic(model, magnitude=_magnitude_for_rule(model, truth))
@@ -272,24 +284,27 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         )
     if "instance" in cfg:
         model, truth = generate_instance(InstanceSpec.from_dict(cfg["instance"]))
-    else:
+    elif isinstance(cfg["instance_path"], str):
         model, truth = load_instance(base / cfg["instance_path"])
+    else:
+        raise ConfigurationError("config field 'instance_path' must be a path string")
 
     tau = _tau_from_config(cfg, model, truth)
     model = _with_tau(model, tau)
     problem = build_problem(model)
 
     solve_cfg = cfg.get("solve", {})
-    known = {"h", "max_iter", "primal_tol", "accelerated"}
-    extra = set(solve_cfg) - known
+    if not isinstance(solve_cfg, dict):
+        raise ConfigurationError(f"config field 'solve' must be an object, got {solve_cfg!r}")
+    extra = set(solve_cfg) - {"h", "max_iter", "primal_tol", "accelerated"}
     if extra:
         raise ConfigurationError(f"unknown solve fields: {sorted(extra)}")
-    config = SolveConfig(
-        h=solve_cfg.get("h"),
-        max_iter=int(solve_cfg.get("max_iter", 100_000)),
-        primal_tol=float(solve_cfg.get("primal_tol", 1e-8)),
-        accelerated=bool(solve_cfg.get("accelerated", False)),
-    )
+    config = SolveConfig(**solve_cfg)
+    out_cfg = cfg.get("output", {})
+    if not (isinstance(out_cfg, dict) and all(isinstance(v, str) for v in out_cfg.values())):
+        raise ConfigurationError(
+            f"config field 'output' must map names to file paths, got {out_cfg!r}"
+        )
 
     start = time.perf_counter()
     x, y, trace = solve(problem, config)
@@ -310,7 +325,6 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         "norm_bound": trace.norm_bound,
         "h": trace.h,
     }
-    out_cfg = cfg.get("output", {})
     if "trace" in out_cfg:
         emit_trace(trace, base / out_cfg["trace"])
     if "report" in out_cfg:

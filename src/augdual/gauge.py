@@ -7,8 +7,9 @@ A gauge is described by one of two variants:
   the NormGauge of the weighted l1 norm;
 * PolyhedralPolar: the polar set is given directly as conv(V + {0}) for a
   finite vertex list V. The gauge itself is then the support function of
-  that polytope, and projections onto it run a Wolfe-type min-norm-point
-  active-set iteration over the vertices.
+  that polytope, projections onto it run a Wolfe-type min-norm-point
+  active-set iteration over the vertices, and its polar gauge is a linear
+  program over conic combinations of the vertices (+inf off their cone).
 
 The generalized Moreau decomposition v = gauge_prox(v) + polar_project(v)
 turns the polar projection into a prox for arbitrary gauges. Each variant
@@ -120,42 +121,20 @@ def polar_gauge_eval(g: GaugeSpec, u: np.ndarray) -> float:
 
 
 def _polyhedral_polar_gauge(g: PolyhedralPolar, u: np.ndarray) -> float:
-    """gamma_{C°}(u) by bisection on the dilation factor with a projection
-    based membership test. Monotone because C° contains the origin."""
-    unrm = float(np.linalg.norm(u))
-    if unrm == 0.0:
-        return 0.0
-    pts = g.polytope()
+    """gamma_{C°}(u) = min sum(alpha) s.t. V^T alpha = u, alpha >= 0: the
+    least total weight that writes u as a conic combination of the
+    vertices. The LP is infeasible, and the gauge +inf, off cone(V)."""
+    # Imported here: the solve path never evaluates a polar gauge.
+    from scipy.optimize import linprog
 
-    def member(lam: float) -> bool:
-        # Distance is measured in the units of u (scaled back by lam), so a
-        # large dilation cannot fake membership of a point off cone(V).
-        scaled = u / lam
-        slack = 1e-9 * (1.0 + unrm)
-        shifted = pts - scaled
-        # Floor the certificate tolerance at the floating-point noise level
-        # of the shifted point set.
-        floor = 1e-14 * (1.0 + float(np.max(np.einsum("ij,ij->i", shifted, shifted))))
-        x = _min_norm_point(shifted, max(min((slack / lam) ** 2, 1e-12), floor))
-        return lam * float(np.linalg.norm(x)) <= slack
-
-    hi = 1.0
-    for _ in range(80):
-        if member(hi):
-            break
-        hi *= 2.0
-    else:
+    verts = g.vertices
+    res = linprog(np.ones(verts.shape[0]), A_eq=verts.T, b_eq=u, bounds=(0.0, None),
+                  method="highs")
+    if res.status == 2:
         return math.inf
-    lo = 0.0
-    for _ in range(100):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if res.status != 0:
+        raise RuntimeError(f"polar gauge LP failed: {res.message}")
+    return float(res.fun)
 
 
 def _affine_minimizer(pts: np.ndarray):
@@ -224,26 +203,20 @@ def _min_norm_point(points: np.ndarray, tol: float, max_iter: int = MAX_MNP_ITER
     raise PolytopeProjectionError(best=x, achieved=achieved, requested=tol)
 
 
-def polar_project(
-    g: GaugeSpec, v: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 1.0
-) -> np.ndarray:
+def polar_project(g: GaugeSpec, v: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Euclidean projection of v onto scale * C°."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if isinstance(g, NormGauge):
         return dual_ball_project(g.norm, v, radius=scale)
     _check_dim(g, v, g.vertices.shape[1])
     shifted = g.polytope(scale) - v.ravel()
-    x = _min_norm_point(shifted, tol)
+    x = _min_norm_point(shifted, DEFAULT_TOL)
     return v + x.reshape(v.shape)
 
 
-def gauge_prox(
-    g: GaugeSpec, v: np.ndarray, scale: float, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def gauge_prox(g: GaugeSpec, v: np.ndarray, scale: float) -> np.ndarray:
     """prox of scale * gauge at v via the generalized Moreau decomposition:
     v minus the projection onto scale * C°."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    z = polar_project(g, v, tol=tol, scale=scale)
+    z = polar_project(g, v, scale=scale)
     return v - z

@@ -224,25 +224,27 @@ class Dense(LinearOperator):
 
 @dataclass(frozen=True, eq=False)
 class SamplingMask(LinearOperator):
-    """Element selection P_Omega; codomain is the compact vector of samples."""
+    """Element selection P_Omega onto the compact vector of samples; the one
+    check of Omega, kept in ``indices`` as a read-only integer (k, 2) copy."""
 
     shape: Tuple[int, int]
-    indices: Tuple[Tuple[int, int], ...]
+    indices: np.ndarray
 
     def __post_init__(self):
         shape = (int(self.shape[0]), int(self.shape[1]))
-        idx = tuple((int(i), int(j)) for i, j in self.indices)
-        if len(set(idx)) != len(idx):
+        idx = np.asarray(self.indices)
+        if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != 2 or not idx.size:
+            raise ValueError("sampling indices must be a nonempty integer (k, 2) array")
+        if idx.min() < 0 or (idx.max(axis=0) >= shape).any():
+            raise ValueError(f"sampling indices outside shape {shape}")
+        idx = np.array(idx, dtype=np.intp)
+        idx.setflags(write=False)
+        flat = idx[:, 0] * shape[1] + idx[:, 1]  # row-major positions
+        if (np.diff(np.sort(flat)) == 0).any():
             raise ValueError("sampling indices must be distinct")
-        if not idx:
-            raise ValueError("sampling index set must be nonempty")
-        for i, j in idx:
-            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-                raise ValueError(f"index {(i, j)} outside shape {shape}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "_rows", np.array([i for i, _ in idx]))
-        object.__setattr__(self, "_cols", np.array([j for _, j in idx]))
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def domain_shape(self) -> Tuple[int, int]:
@@ -253,11 +255,11 @@ class SamplingMask(LinearOperator):
         return (len(self.indices),)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return x[self._rows, self._cols]
+        return x.take(self._flat)
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self._rows, self._cols] = y
+        out.ravel()[self._flat] = y  # ravel is a view of the new array
         return out
 
 

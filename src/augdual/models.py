@@ -48,13 +48,12 @@ class MatrixCompletionModel:
     """Nuclear-norm completion from samples of M at the index set omega."""
 
     shape: Tuple[int, int]
-    omega: Tuple[Tuple[int, int], ...]
+    omega: np.ndarray
     sampled_values: np.ndarray
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.omega) == 0:
-            raise ValueError("omega must be nonempty")
+        object.__setattr__(self, "omega", SamplingMask(self.shape, self.omega).indices)
         vals = np.asarray(self.sampled_values, dtype=float).ravel()
         if vals.size != len(self.omega):
             raise ValueError("sampled values must match omega")

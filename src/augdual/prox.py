@@ -45,10 +45,11 @@ class NormSpec:
         return dual_ball_project(self, v)
 
 
-def _weights(norm: NormSpec, v: np.ndarray) -> np.ndarray:
-    """The l1 weights in the shape of v."""
+def _weights(norm: NormSpec, v: np.ndarray):
+    """The l1 weights in the shape of v, or the scalar 1.0 when unweighted
+    (no array of ones on every prox, projection and dual norm)."""
     if norm.weights is None:
-        return np.ones(v.shape)
+        return 1.0
     if norm.weights.size != v.size:
         raise ValueError(
             f"weight length {norm.weights.size} does not match dimension {v.size}"
@@ -64,7 +65,7 @@ def _require_matrix(norm: NormSpec, v: np.ndarray) -> np.ndarray:
 
 def norm_value(norm: NormSpec, v: np.ndarray) -> float:
     if norm.kind == "l1":
-        return float(_weights(norm, v).ravel() @ np.abs(v).ravel())
+        return float(np.sum(_weights(norm, v) * np.abs(v)))
     if norm.kind == "l2":
         return float(np.linalg.norm(v))
     if norm.kind == "linf":

@@ -23,6 +23,7 @@ exact residual.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections import deque
 from collections.abc import Sequence
@@ -94,10 +95,28 @@ class SolveConfig:
     accelerated: bool = False
 
     def __post_init__(self):
+        if not (self.h is None or _is_number(self.h)):
+            raise ConfigurationError(f"h must be a number or None, got {self.h!r}")
+        if not (isinstance(self.max_iter, numbers.Integral)
+                and not isinstance(self.max_iter, bool)):
+            raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if not _is_number(self.primal_tol):
+            raise ConfigurationError(f"primal_tol must be a number, got {self.primal_tol!r}")
+        if not (self.y0 is None or isinstance(self.y0, Point)):
+            raise ConfigurationError("y0 must be a Point or None")
+        if not isinstance(self.accelerated, bool):
+            raise ConfigurationError(
+                f"accelerated must be true or false, got {self.accelerated!r}"
+            )
         if not (math.isfinite(self.primal_tol) and self.primal_tol > 0):
             raise ConfigurationError("primal_tol must be finite and positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
+
+
+def _is_number(value) -> bool:
+    """A real number and not a bool (JSON true/false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

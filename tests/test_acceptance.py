@@ -289,8 +289,7 @@ def test_criterion_6_svt_reproduction():
     h = default_step_size(p, bound)
 
     # hand-coded SVT recursion on the compact sample vector
-    rows = np.array([i for i, _ in model.omega])
-    cols = np.array([j for _, j in model.omega])
+    rows, cols = model.omega.T
     b = model.sampled_values
     y = np.zeros(b.size)
     s = DualState(

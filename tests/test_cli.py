@@ -48,6 +48,16 @@ def test_instance_spec_validation():
     with pytest.raises(ValueError):
         InstanceSpec.from_dict({"kind": "rpca", "seed": 0, "rows": 3, "cols": 3,
                                 "rank": 1, "k": 2, "lam": -1.0})
+    # Field types are checked, not coerced: JSON floats, strings and bools
+    # are no integers, and strings no numbers.
+    mc = {"kind": "matrix_completion", "seed": 0, "rows": 3, "cols": 3, "rank": 1}
+    for bad in ({**L1_SPEC, "n": 30.5}, {**L1_SPEC, "seed": 1.5}, {**L1_SPEC, "seed": "1"},
+                {**L1_SPEC, "seed": True}, {**mc, "p": "0.5"}, {**mc, "kind": 1}):
+        with pytest.raises(ValueError, match="instance field"):
+            InstanceSpec.from_dict(bad)
+    with pytest.raises(ValueError, match="object"):
+        InstanceSpec.from_dict([("kind", "aug_l1")])
+    assert InstanceSpec.from_dict({**mc, "p": 1}).p == 1
 
 
 def test_generate_is_deterministic():
@@ -78,7 +88,7 @@ def test_instance_roundtrip_matrix_completion(tmp_path):
     path = write_instance(spec, tmp_path / "inst")
     model, truth = load_instance(path)
     fresh, fresh_truth = generate_instance(spec)
-    assert model.omega == fresh.omega
+    assert np.array_equal(model.omega, fresh.omega)
     assert np.array_equal(model.sampled_values, fresh.sampled_values)
     assert np.array_equal(truth.data, fresh_truth.data)
 
@@ -265,16 +275,37 @@ def test_main_config_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize(
-    "solve_cfg",
-    [{"primal_tol": math.inf}, {"primal_tol": math.nan}, {"restart": True}],
-    ids=["primal_tol_inf", "primal_tol_nan", "restart"],
-)
-def test_main_rejects_bad_solve_fields(solve_cfg, tmp_path, capsys):
+_BAD_FIELDS = {
+    "primal_tol_inf": ({"solve": {"primal_tol": math.inf}}, "primal_tol"),
+    "primal_tol_nan": ({"solve": {"primal_tol": math.nan}}, "primal_tol"),
+    "restart": ({"solve": {"restart": True}}, "restart"),
+    "max_iter_inf": ({"solve": {"max_iter": math.inf}}, "max_iter"),
+    "max_iter_float": ({"solve": {"max_iter": 2.7}}, "max_iter"),
+    "h_string": ({"solve": {"h": "0.1"}}, "h"),
+    "primal_tol_null": ({"solve": {"primal_tol": None}}, "primal_tol"),
+    "accelerated_string": ({"solve": {"accelerated": "no"}}, "accelerated"),
+    "solve_list": ({"solve": [1]}, "solve"),
+    "output_string": ({"output": "trace"}, "output"),
+    "output_number": ({"output": {"trace": 5}}, "output"),
+    "tau_bool": ({"tau": {"value": True}}, "tau"),
+    "tau_string": ({"tau": {"value": "3"}}, "tau"),
+    "instance_list": ({"instance": [1, 2]}, "instance"),
+    "instance_path_number": ({"instance": None, "instance_path": 5}, "instance_path"),
+    "instance_n_float": ({"instance": {**L1_SPEC, "n": 30.5}}, "'n'"),
+    "instance_seed_string": ({"instance": {**L1_SPEC, "seed": "1"}}, "'seed'"),
+}
+
+
+@pytest.mark.parametrize("overrides, field", _BAD_FIELDS.values(), ids=_BAD_FIELDS)
+def test_main_rejects_bad_solve_fields(overrides, field, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    _write_json(cfg_path, _solve_cfg(solve=solve_cfg, output={}))
+    cfg = {**_solve_cfg(output={}), **overrides}
+    # An override of None removes the key.
+    _write_json(cfg_path, {k: v for k, v in cfg.items() if v is not None})
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert field in err
 
 
 def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):

@@ -48,6 +48,21 @@ def test_segment_polar_gauge():
     assert gauge_eval(g, np.array([-2.0, 5.0])) == 0.0
 
 
+def test_polar_gauge_is_infinite_off_the_cone():
+    # u lies 0.009 from cone(V) (nonnegative least squares), so no dilation
+    # of conv(V + {0}) contains it.
+    V = np.random.default_rng(0).standard_normal((6, 4))
+    u = np.array([-2.11540716042527, -1.099738794316106, 0.3334957254514356,
+                  3.1539125785804276])
+    assert math.isinf(polar_gauge_eval(PolyhedralPolar(V), u))
+    # On the cone the value is the least total weight of a conic
+    # combination: u = 2 v_0 + 3 v_1 has gauge at most 5.
+    w = 2.0 * V[0] + 3.0 * V[1]
+    got = polar_gauge_eval(PolyhedralPolar(V), w)
+    assert 0.0 < got <= 5.0 + 1e-12
+    assert polar_gauge_eval(PolyhedralPolar(V), np.zeros(4)) == 0.0
+
+
 def test_cross_polytope_polar_is_l1():
     rng = np.random.default_rng(21)
     for _ in range(20):

@@ -67,7 +67,14 @@ def test_dense_apply_adjoint():
 
 
 def test_sampling_mask_apply_adjoint():
-    op = SamplingMask((2, 3), ((0, 1), (1, 2)))
+    given = np.array([[0, 1], [1, 2]])
+    op = SamplingMask((2, 3), given)
+    # Omega is kept as a read-only integer (k, 2) copy of the caller's pairs.
+    assert op.indices.dtype.kind == "i" and len(op.indices) == 2
+    assert not op.indices.flags.writeable
+    given[0] = (1, 0)
+    assert np.array_equal(op.indices, [[0, 1], [1, 2]])
+    assert np.array_equal(SamplingMask((2, 3), ((0, 1), (1, 2))).indices, op.indices)
     m = np.arange(6.0).reshape(2, 3)
     out = op.apply(Point.matrix(m))
     assert np.array_equal(out.data, [1.0, 5.0])
@@ -79,10 +86,22 @@ def test_sampling_mask_apply_adjoint():
 
 
 def test_sampling_mask_rejects_duplicates_and_bounds():
-    with pytest.raises(ValueError):
-        SamplingMask((2, 2), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        SamplingMask((2, 2), ((2, 0),))
+    bad = [
+        ((0, 0), (0, 0)),  # duplicate pair
+        ((2, 0),),
+        ((0, 2),),
+        ((-1, 0),),
+        ((0, -1),),
+        (),
+        np.zeros((0, 2), dtype=int),
+        np.array([[0.0, 1.0]]),
+        np.array([[False, True]]),
+        np.array([[0, 1, 1]]),  # (k, 3)
+        np.array([0, 1]),  # flat, not (k, 2)
+    ]
+    for indices in bad:
+        with pytest.raises(ValueError):
+            SamplingMask((2, 2), indices)
 
 
 def test_blocksum_apply_adjoint():

@@ -37,6 +37,16 @@ def test_tau_rule_matrix_completion():
     assert tau_heuristic(model) == pytest.approx(24.0)
 
 
+def test_completion_model_keeps_omega_as_the_mask_does():
+    model = MatrixCompletionModel((2, 3), ((0, 1), (1, 2)), [1.0, 2.0])
+    assert np.array_equal(model.omega, [[0, 1], [1, 2]])
+    assert model.omega.dtype.kind == "i" and not model.omega.flags.writeable
+    # Omega is checked by SamplingMask: duplicates, floats and empty sets.
+    for bad in (((0, 1), (0, 1)), np.array([[0.0, 1.0], [1.0, 2.0]]), ()):
+        with pytest.raises(ValueError):
+            MatrixCompletionModel((2, 3), bad, [1.0, 2.0])
+
+
 def test_tau_rule_rpca():
     # ||D||_F = 3, lam = 1 -> 8*sqrt(15) ~ 30.9839
     d = np.diag([3.0, 0.0])
