@@ -305,6 +305,9 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         raise ConfigurationError(
             f"config field 'output' must map names to file paths, got {out_cfg!r}"
         )
+    extra = set(out_cfg) - {"trace", "report", "solution"}
+    if extra:
+        raise ConfigurationError(f"unknown output fields: {sorted(extra)}")
 
     start = time.perf_counter()
     x, y, trace = solve(problem, config)

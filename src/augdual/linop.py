@@ -6,9 +6,11 @@ matrices (the low-rank and sparse blocks of RPCA). One solver loop handles
 sparse-vector, matrix-completion, and low-rank-plus-sparse problems.
 
 Each operator declares numpy ``domain_shape``/``codomain_shape`` and maps
-arrays to arrays in ``_apply``/``_adjoint``; ``apply``/``adjoint`` check a
-Point's shape and wrap the result, and ``apply_normal`` returns the pair
-(Ax, A*Ax) the dual iteration needs. Three operator variants are supported:
+arrays to arrays in ``_apply``/``_adjoint``, and ``_apply_normal`` returns the
+pair (Ax, A*Ax) the dual iteration needs. The solver loop runs on these
+array-level maps; ``apply``/``adjoint``/``apply_normal`` are their checked
+forms, which check a Point's shape and wrap the result. Three operator
+variants are supported:
 
 * Dense: an explicit matrix acting on vectors (on a sparse x the forward
   map reads only the support columns, and A*Ax comes from the Gram rows of
@@ -121,14 +123,20 @@ class LinearOperator:
 
     def apply_normal(self, x: Point) -> Tuple[Point, Point]:
         """(Ax, A*Ax): the forward map and the normal map of one x."""
-        ax = self.apply(x)
-        return ax, self.adjoint(ax)
+        if x.data.shape != self.domain_shape:
+            raise ValueError(f"domain mismatch: {x.data.shape} vs {self.domain_shape}")
+        ax, atax = self._apply_normal(x.data)
+        return Point(ax), Point(atax)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _apply_normal(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        ax = self._apply(x)
+        return ax, self._adjoint(ax)
 
 
 class _SupportBlocks:
@@ -195,18 +203,23 @@ class Dense(LinearOperator):
     def codomain_shape(self) -> Tuple[int]:
         return (self.matrix.shape[0],)
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(x)
-        if nz.size <= SPARSE_APPLY_FRACTION * x.size:
-            return self._blocks.columns(nz) @ x[nz]
-        return self.matrix @ x
+    def _apply(self, x: np.ndarray, support=None) -> np.ndarray:
+        """Ax; on a sparse x, from the columns on the support S only.
+
+        ``support`` is the pair (S, x[S]) with S = np.flatnonzero(x), for a
+        caller that has already found it; an override must accept it.
+        """
+        nz = np.flatnonzero(x) if support is None else support[0]
+        if nz.size > SPARSE_APPLY_FRACTION * x.size:
+            return self.matrix @ x
+        return self._blocks.columns(nz) @ (x[nz] if support is None else support[1])
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ y
 
-    def apply_normal(self, x: Point) -> Tuple[Point, Point]:
-        """(Ax, A*Ax); on a sparse x, A*Ax = sum over the support S of
-        x_j A*a_j, from the Gram rows of S.
+    def _apply_normal(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(Ax, A*Ax) from one support S of x; on a sparse x,
+        A*Ax = sum over S of x_j A*a_j, from the Gram rows of S.
 
         Taken when the forward map takes its sparse path and nnz(x) < m, so
         the block holds fewer rows than A. It costs O(n * nnz(x)) against
@@ -214,12 +227,13 @@ class Dense(LinearOperator):
         support; linearized-Bregman iterates keep their support on most
         iterations. The rows are summed in support order.
         """
-        ax = self.apply(x)
+        nz = np.flatnonzero(x)
+        x_nz = x[nz]
+        ax = self._apply(x, (nz, x_nz))
         m, n = self.matrix.shape
-        nz = np.flatnonzero(x.data)
         if nz.size > SPARSE_APPLY_FRACTION * n or nz.size >= m:
-            return ax, self.adjoint(ax)
-        return ax, Point(x.data[nz] @ self._blocks.gram(nz))
+            return ax, self._adjoint(ax)
+        return ax, x_nz @ self._blocks.gram(nz)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ builders accept an independent mu to exercise the general iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,15 +45,22 @@ class AugNuclearModel:
 
 @dataclass(frozen=True, eq=False)
 class MatrixCompletionModel:
-    """Nuclear-norm completion from samples of M at the index set omega."""
+    """Nuclear-norm completion from samples of M at the index set omega.
+
+    ``mask`` is the SamplingMask that checked omega; ``build_problem`` uses
+    it as the operator.
+    """
 
     shape: Tuple[int, int]
     omega: np.ndarray
     sampled_values: np.ndarray
     tau: Optional[float] = None
+    mask: SamplingMask = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", SamplingMask(self.shape, self.omega).indices)
+        mask = SamplingMask(self.shape, self.omega)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "omega", mask.indices)
         vals = np.asarray(self.sampled_values, dtype=float).ravel()
         if vals.size != len(self.omega):
             raise ValueError("sampled values must match omega")
@@ -134,7 +141,7 @@ def build_problem(model) -> ProblemSpec:
     if isinstance(model, MatrixCompletionModel):
         tau = _require_tau(model)
         return ProblemSpec(
-            op=SamplingMask(model.shape, model.omega),
+            op=model.mask,
             b=Point.vector(model.sampled_values),
             regularizer=NormSpec("nuclear"),
             tau=tau,

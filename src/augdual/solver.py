@@ -9,10 +9,13 @@ adds Nesterov momentum with adaptive restart; both run in one loop.
 
 The step y+ = w + h(b - Ax) is linear in the dual variable, so the loop
 carries z = A*y alongside y: A*y+ = A*w + h(A*b - A*Ax), with A*b computed
-once and (Ax, A*Ax) from the operator's ``apply_normal``, and the momentum
-step applies to z the elementwise operations it applies to y. An iteration
-then needs no adjoint of its own; on a sparse l1 iterate the Dense operator
-forms A*Ax from cached Gram rows. For the sampling and block-sum operators
+once and (Ax, A*Ax) from the operator's array-level normal map
+``_apply_normal``, and the momentum step applies to z the elementwise
+operations it applies to y. An iteration then needs no adjoint of its own;
+on a sparse l1 iterate the Dense operator forms A*Ax from cached Gram rows.
+The loop runs on arrays, through ``_apply_normal`` and ``_adjoint``, and
+wraps only the returned pair in Points; its own finiteness check stands in
+for the one a Point makes. For the sampling and block-sum operators
 the carried z has the same bits as the adjoint. Elsewhere it drifts by
 rounding, so before every stop the loop recomputes A*w exactly (and, where
 the bits differ, x and the residual from it): every returned x is
@@ -188,7 +191,9 @@ def regularizer_prox(reg, v: np.ndarray, scale: float) -> np.ndarray:
 
 def primal_from_dual(p: ProblemSpec, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """x = tau*prox(A*y/mu), and w = A*y/mu itself, on arrays."""
-    return _primal(p, p.op.adjoint(Point(y)).data)
+    if y.shape != p.op.codomain_shape:
+        raise ValueError(f"codomain mismatch: {y.shape} vs {p.op.codomain_shape}")
+    return _primal(p, p.op._adjoint(y))
 
 
 def _primal(p: ProblemSpec, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -323,15 +328,15 @@ def solve(
     y = _initial_state(p, c)
     w = y
     # z_y = A*y and z_w = A*w, carried by the operations applied to y and w.
-    z_y = np.zeros(op.domain_shape) if c.y0 is None else op.adjoint(Point(y)).data
+    z_y = np.zeros(op.domain_shape) if c.y0 is None else op._adjoint(y)
     z_w = z_y
-    atb = op.adjoint(p.b).data
+    atb = op._adjoint(b)
 
     def evaluate(z):
         # From z = A*w: x = tau*prox(z/mu), z/mu, the residual b - Ax, and A*Ax.
         x, wadj = _primal(p, z)
-        ax, atax = op.apply_normal(Point(x))
-        return x, wadj, b - ax.data, atax.data
+        ax, atax = op._apply_normal(x)
+        return x, wadj, b - ax, atax
 
     t = 1.0
     x_prev: Optional[np.ndarray] = None
@@ -350,7 +355,7 @@ def solve(
             rnorm = _norm(r)
             if rnorm <= tol:
                 # z_w drifts from A*w by rounding: stop on the exact residual.
-                z = op.adjoint(Point(w)).data
+                z = op._adjoint(w)
                 if not np.array_equal(z, z_w):
                     z_w = z
                     x, wadj, r, atax = evaluate(z_w)
@@ -363,18 +368,20 @@ def solve(
             dy = y_next - y
             y_change = _norm(dy)
             trace.append(k, rnorm, _trace_objective(p, w, x), x_change, y_change)
-            # The finiteness check of the iteration: a norm overflows once an
-            # entry passes ~1e154, long before r, x, y_next or w can hold an inf.
+            # The finiteness check of the iteration, the only one in the loop
+            # (it builds no Point): a non-finite Ax shows in the residual
+            # norm, and a norm overflows once an entry passes ~1e154, long
+            # before r, x, y_next or w can hold an inf.
             if not (math.isfinite(rnorm) and math.isfinite(x_change)
                     and math.isfinite(y_change)):
                 trace.termination = "numerical_failure"
-                return Point(primal_from_dual(p, w)[0]), Point(w), trace
+                break
             if feasible:
                 trace.termination = "feasibility_tol"
-                return Point(x), Point(w), trace
+                break
             if _stalled(residuals, adjoints):
                 trace.termination = "suspected_infeasible"
-                return Point(primal_from_dual(p, w)[0]), Point(w), trace
+                break
             z_next = z_w + (atb - atax) * h
             if c.accelerated and not _dot(r, dy) < 0.0:
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -389,9 +396,14 @@ def solve(
             y = y_next
             z_y = z_next
             x_prev = x
-    x, _ = primal_from_dual(p, y)
-    trace.termination = "max_iter"
-    return Point(x), Point(y), trace
+        else:
+            trace.termination = "max_iter"
+            w = y
+        # A feasibility stop returns its own x; every other stop returns the
+        # last finite dual iterate and the x of its exact adjoint.
+        if trace.termination != "feasibility_tol":
+            x = primal_from_dual(p, w)[0]
+    return Point(x), Point(w), trace
 
 
 def estimated_bound(p: ProblemSpec) -> float:

@@ -287,6 +287,7 @@ _BAD_FIELDS = {
     "solve_list": ({"solve": [1]}, "solve"),
     "output_string": ({"output": "trace"}, "output"),
     "output_number": ({"output": {"trace": 5}}, "output"),
+    "output_unknown_key": ({"output": {"reprot": "r.json"}}, "reprot"),
     "tau_bool": ({"tau": {"value": True}}, "tau"),
     "tau_string": ({"tau": {"value": "3"}}, "tau"),
     "instance_list": ({"instance": [1, 2]}, "instance"),

@@ -226,6 +226,22 @@ def test_dense_apply_normal_matches_adjoint_of_apply(shape, which, monkeypatch):
     # The Gram rows replace the adjoint exactly when the forward map is
     # sparse and the support is smaller than m.
     assert adjoints == (0 if nnz <= SPARSE_APPLY_FRACTION * n and nnz < m else 1)
+    # The array-level map the solver calls has the same bits, and finds the
+    # support of x once for both products (the call above left the blocks
+    # of this support in place, so no other search runs).
+    searches = 0
+    flatnonzero = np.flatnonzero
+
+    def counting_flatnonzero(a):
+        nonlocal searches
+        searches += 1
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    ax_arr, atax_arr = op._apply_normal(x.data)
+    assert searches == 1
+    assert ax_arr.tobytes() == ax.data.tobytes()
+    assert atax_arr.tobytes() == atax.data.tobytes()
 
 
 def test_dense_apply_normal_bits_do_not_depend_on_earlier_supports():

@@ -82,6 +82,22 @@ def test_build_matrix_completion():
     assert np.array_equal(p.b.data, [1.0, 2.0])
 
 
+def test_build_matrix_completion_reuses_the_checked_mask(monkeypatch):
+    model = MatrixCompletionModel((2, 3), ((0, 0), (1, 2)), np.array([1.0, 2.0]), tau=4.0)
+    built = 0
+    post_init = SamplingMask.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(SamplingMask, "__post_init__", counting_post_init)
+    p = build_problem(model)
+    assert built == 0
+    assert p.op is model.mask
+
+
 def test_build_rpca_and_gauge():
     p = build_problem(RpcaModel(np.eye(2), lam=0.5, tau=3.0))
     assert isinstance(p.op, BlockSum)
