@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linop import Point
+from .linop import Point, SamplingMask
 from .models import (
     AugL1Model,
     MatrixCompletionModel,
@@ -131,7 +131,7 @@ def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
         flat = np.sort(rng.choice(total, size=count, replace=False))
         omega = np.column_stack(np.divmod(flat, spec.cols))
         model = MatrixCompletionModel(
-            shape=(spec.rows, spec.cols), omega=omega, sampled_values=M.ravel()[flat]
+            SamplingMask((spec.rows, spec.cols), omega), sampled_values=M.ravel()[flat]
         )
         return model, Point.matrix(M)
     # rpca
@@ -172,7 +172,7 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
         _save_csv(out / "x0.csv", truth.data)
     elif spec.kind == "matrix_completion":
         meta.update(shape=[spec.rows, spec.cols], rank=spec.rank, p=spec.p)
-        meta["omega"] = model.omega.tolist()
+        meta["omega"] = model.mask.indices.tolist()
         meta["payload"] = {"sampled_values": "b.csv", "M0": "M0.csv"}
         _save_csv(out / "b.csv", model.sampled_values)
         _save_csv(out / "M0.csv", truth.data)
@@ -205,7 +205,7 @@ def load_instance(path) -> Tuple[object, Point]:
     if kind == "matrix_completion":
         values = _load_csv(base / payload["sampled_values"]).ravel()
         model = MatrixCompletionModel(
-            shape=tuple(meta["shape"]), omega=meta["omega"], sampled_values=values
+            SamplingMask(meta["shape"], meta["omega"]), sampled_values=values
         )
         truth = Point.matrix(_load_csv(base / payload["M0"]))
         return model, truth

@@ -5,12 +5,15 @@ for a vector, (r, c) for a matrix, and (2, r, c) for a pair of equally shaped
 matrices (the low-rank and sparse blocks of RPCA). One solver loop handles
 sparse-vector, matrix-completion, and low-rank-plus-sparse problems.
 
+Points are boundary values: problem data, the truth of a generated
+instance, and the pair a solve returns. All arithmetic runs on their
+``.data`` arrays.
+
 Each operator declares numpy ``domain_shape``/``codomain_shape`` and maps
 arrays to arrays in ``_apply``/``_adjoint``, and ``_apply_normal`` returns the
 pair (Ax, A*Ax) the dual iteration needs. The solver loop runs on these
-array-level maps; ``apply``/``adjoint``/``apply_normal`` are their checked
-forms, which check a Point's shape and wrap the result. Three operator
-variants are supported:
+array-level maps; ``apply``/``adjoint`` are their checked forms, which check
+a Point's shape and wrap the result. Three operator variants are supported:
 
 * Dense: an explicit matrix acting on vectors (on a sparse x the forward
   map reads only the support columns, and A*Ax comes from the Gram rows of
@@ -22,6 +25,7 @@ variants are supported:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -69,36 +73,13 @@ class Point:
             raise ValueError("pair point needs two equally shaped 2-D arrays")
         return Point(np.array((a, b)))
 
-    @staticmethod
-    def zeros(shape) -> "Point":
-        return Point(np.zeros(shape))
-
-    def __add__(self, other: "Point") -> "Point":
-        self._check(other)
-        return Point(self.data + other.data)
-
     def __sub__(self, other: "Point") -> "Point":
-        self._check(other)
+        if self.data.shape != other.data.shape:
+            raise ValueError(f"shape mismatch: {self.data.shape} vs {other.data.shape}")
         return Point(self.data - other.data)
-
-    def __mul__(self, scalar: float) -> "Point":
-        return Point(self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Point":
-        return Point(-self.data)
-
-    def dot(self, other: "Point") -> float:
-        self._check(other)
-        return float(self.data.ravel() @ other.data.ravel())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
-
-    def _check(self, other: "Point"):
-        if self.data.shape != other.data.shape:
-            raise ValueError(f"shape mismatch: {self.data.shape} vs {other.data.shape}")
 
 
 class LinearOperator:
@@ -120,13 +101,6 @@ class LinearOperator:
         if y.data.shape != self.codomain_shape:
             raise ValueError(f"codomain mismatch: {y.data.shape} vs {self.codomain_shape}")
         return Point(self._adjoint(y.data))
-
-    def apply_normal(self, x: Point) -> Tuple[Point, Point]:
-        """(Ax, A*Ax): the forward map and the normal map of one x."""
-        if x.data.shape != self.domain_shape:
-            raise ValueError(f"domain mismatch: {x.data.shape} vs {self.domain_shape}")
-        ax, atax = self._apply_normal(x.data)
-        return Point(ax), Point(atax)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -239,13 +213,20 @@ class Dense(LinearOperator):
 @dataclass(frozen=True, eq=False)
 class SamplingMask(LinearOperator):
     """Element selection P_Omega onto the compact vector of samples; the one
-    check of Omega, kept in ``indices`` as a read-only integer (k, 2) copy."""
+    check of the shape (two positive integers) and of Omega, kept in
+    ``indices`` as a read-only integer (k, 2) copy."""
 
     shape: Tuple[int, int]
     indices: np.ndarray
 
     def __post_init__(self):
-        shape = (int(self.shape[0]), int(self.shape[1]))
+        shape = tuple(self.shape) if np.iterable(self.shape) else ()
+        if len(shape) != 2 or not all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0
+            for s in shape
+        ):
+            raise ValueError(f"sampling shape {self.shape!r} is not two positive integers")
+        shape = (int(shape[0]), int(shape[1]))
         idx = np.asarray(self.indices)
         if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != 2 or not idx.size:
             raise ValueError("sampling indices must be a nonempty integer (k, 2) array")
@@ -312,9 +293,9 @@ def adjoint_consistency_check(op: LinearOperator, trials: int, seed: int) -> flo
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        x = random_point(op.domain_shape, rng)
-        y = random_point(op.codomain_shape, rng)
-        lhs = op.apply(x).dot(y)
-        rhs = x.dot(op.adjoint(y))
+        x = random_point(op.domain_shape, rng).data
+        y = random_point(op.codomain_shape, rng).data
+        lhs = float(op._apply(x).ravel() @ y.ravel())
+        rhs = float(x.ravel() @ op._adjoint(y).ravel())
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst

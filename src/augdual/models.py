@@ -10,8 +10,8 @@ builders accept an independent mu to exercise the general iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,28 +47,21 @@ class AugNuclearModel:
 class MatrixCompletionModel:
     """Nuclear-norm completion from samples of M at the index set omega.
 
-    ``mask`` is the SamplingMask that checked omega; ``build_problem`` uses
-    it as the operator.
+    ``mask`` holds the matrix shape and omega (checked once, when the mask
+    is built); ``build_problem`` uses it as the operator.
     """
 
-    shape: Tuple[int, int]
-    omega: np.ndarray
+    mask: SamplingMask
     sampled_values: np.ndarray
     tau: Optional[float] = None
-    mask: SamplingMask = field(init=False, repr=False)
 
     def __post_init__(self):
-        mask = SamplingMask(self.shape, self.omega)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "omega", mask.indices)
+        if not isinstance(self.mask, SamplingMask):
+            raise TypeError("mask must be a SamplingMask")
         vals = np.asarray(self.sampled_values, dtype=float).ravel()
-        if vals.size != len(self.omega):
+        if vals.size != len(self.mask.indices):
             raise ValueError("sampled values must match omega")
         object.__setattr__(self, "sampled_values", vals)
-
-    @property
-    def sample_ratio(self) -> float:
-        return len(self.omega) / (self.shape[0] * self.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +183,9 @@ def tau_heuristic(model, magnitude: Optional[float] = None) -> float:
             raise ValueError("aug_nuclear tau rule needs the spectral norm of X0")
         return 10.0 * magnitude
     if isinstance(model, MatrixCompletionModel):
-        return (4.0 / model.sample_ratio) * float(
-            np.linalg.norm(model.sampled_values)
-        )
+        rows, cols = model.mask.shape
+        sample_ratio = len(model.mask.indices) / (rows * cols)
+        return (4.0 / sample_ratio) * float(np.linalg.norm(model.sampled_values))
     if isinstance(model, RpcaModel):
         return 8.0 * math.sqrt(15.0) * float(np.linalg.norm(model.D, "fro")) / (
             3.0 * model.lam

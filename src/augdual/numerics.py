@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import LinearOperator, Point, random_point
+from .linop import LinearOperator, Point
 
 # Singular values below this fraction of the largest are clamped to zero to
 # stabilize rank decisions.
@@ -71,22 +71,21 @@ def power_iteration(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    x = random_point(op.domain_shape, rng)
-    nrm = x.norm()
+    x = np.random.default_rng(seed).standard_normal(op.domain_shape)
+    nrm = float(np.linalg.norm(x))
     if nrm == 0:
         return 0.0, True, 0
     x = x * (1.0 / nrm)
     rho_prev = -1.0
     for it in range(1, max_iter + 1):
-        z = op.adjoint(op.apply(x))
-        rho = x.dot(z)
+        z = op._adjoint(op._apply(x))
+        rho = float(x.ravel() @ z.ravel())
         if rho <= 0:
             return 0.0, True, it
         if rho_prev >= 0 and abs(rho - rho_prev) <= tol * rho:
             return float(np.sqrt(rho)), True, it
         rho_prev = rho
-        znrm = z.norm()
+        znrm = float(np.linalg.norm(z))
         if znrm == 0:
             return 0.0, True, it
         x = z * (1.0 / znrm)

@@ -16,7 +16,8 @@ on a sparse l1 iterate the Dense operator forms A*Ax from cached Gram rows.
 The loop runs on arrays, through ``_apply_normal`` and ``_adjoint``, and
 wraps only the returned pair in Points; its own finiteness check stands in
 for the one a Point makes. For the sampling and block-sum operators
-the carried z has the same bits as the adjoint. Elsewhere it drifts by
+the carried z has the same bits as the adjoint that the reference
+iteration ``oracle.step`` takes of every iterate. Elsewhere it drifts by
 rounding, so before every stop the loop recomputes A*w exactly (and, where
 the bits differ, x and the residual from it): every returned x is
 tau*prox(A*w/mu) of the exact adjoint, and a feasibility stop rests on the
@@ -122,15 +123,6 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Iterate of the primal-dual iteration: x = tau*prox(A*y_prev/mu)."""
-
-    k: int
-    y: Point
-    x: Point
-
-
 @dataclass(slots=True)
 class TraceRecord:
     k: int
@@ -206,20 +198,6 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(u.ravel() @ v.ravel())
 
 
-def dual_objective(p: ProblemSpec, y: Point) -> float:
-    """D(y) = -<y, b> + (tau*mu/2) * ||A*y/mu - z||^2 with z the projection
-    of A*y/mu onto the dual ball / polar set."""
-    w = p.op.adjoint(y).data * (1.0 / p.mu)
-    gap = w - p.regularizer.polar_project(w)
-    return -y.dot(p.b) + 0.5 * p.tau * p.mu * _dot(gap, gap)
-
-
-def dual_gradient(p: ProblemSpec, y: Point) -> Point:
-    """grad D(y) = -b + A(tau * prox(A*y/mu))."""
-    x, _ = primal_from_dual(p, y.data)
-    return p.op.apply(Point(x)) - p.b
-
-
 def step_size_bound(p: ProblemSpec, norm_bound: float) -> float:
     """Upper end of the admissible open step interval for a given bound on
     ||A||."""
@@ -238,8 +216,8 @@ def validate_config(p: ProblemSpec, c: SolveConfig, norm_bound: float) -> float:
     for an accelerated solve at most the 1/L step mu/(tau*bound^2), which
     is the step taken when c.h is None.
     """
-    if norm_bound <= 0:
-        raise ConfigurationError("norm_bound must be positive")
+    if not (math.isfinite(norm_bound) and norm_bound > 0):
+        raise ConfigurationError(f"norm_bound must be finite and positive, got {norm_bound!r}")
     cap = default_step_size(p, norm_bound)
     if c.h is None:
         return float(cap)
@@ -262,12 +240,6 @@ def _initial_state(p: ProblemSpec, c: SolveConfig) -> np.ndarray:
             raise ValueError("y0 shape does not match operator codomain")
         return c.y0.data
     return np.zeros(p.op.codomain_shape)
-
-
-def step(p: ProblemSpec, s: DualState, h: float) -> DualState:
-    """One primal-dual iteration: x = tau*prox(A*y/mu); y += h(b - Ax)."""
-    x = Point(primal_from_dual(p, s.y.data)[0])
-    return DualState(k=s.k + 1, y=s.y + h * (p.b - p.op.apply(x)), x=x)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -13,24 +13,19 @@ from augdual.gauge import NormGauge, PolyhedralPolar
 from augdual.linop import Dense, LinearOperator, Point
 from augdual.models import (
     AugL1Model,
-    MatrixCompletionModel,
     RpcaModel,
     build_problem,
     tau_heuristic,
 )
-from augdual.oracle import kkt_residual, l1_exact_solve
+from augdual.oracle import dual_gradient, dual_objective, kkt_residual, l1_exact_solve, step
 from augdual.prox import NormSpec, moreau_residual, prox_norm, svt
 from augdual.solver import (
     ConfigurationError,
-    DualState,
     ProblemSpec,
     SolveConfig,
     default_step_size,
-    dual_gradient,
-    dual_objective,
     estimated_bound,
     solve,
-    step,
     step_size_bound,
     validate_config,
 )
@@ -122,16 +117,16 @@ def _fd_gradient_max_relerr(p: ProblemSpec, n_points: int, seed: int) -> float:
     dim = int(np.prod(shape))
     eps = 1e-6
     for _ in range(n_points):
-        y = Point(rng.standard_normal(shape))
+        y = rng.standard_normal(shape)
         g = dual_gradient(p, y)
         fd = np.zeros(dim)
         for i in range(dim):
             e = np.zeros(dim)
             e[i] = eps
-            plus = Point(y.data + e.reshape(shape))
-            minus = Point(y.data - e.reshape(shape))
+            plus = y + e.reshape(shape)
+            minus = y - e.reshape(shape)
             fd[i] = (dual_objective(p, plus) - dual_objective(p, minus)) / (2 * eps)
-        err = float(np.linalg.norm(fd - g.data.ravel())) / max(1.0, g.norm())
+        err = float(np.linalg.norm(fd - g.ravel())) / max(1.0, float(np.linalg.norm(g)))
         worst = max(worst, err)
     return worst
 
@@ -162,10 +157,7 @@ def test_criterion_2_gradient_correctness():
         )
     )
     problems["matrix_completion"] = build_problem(
-        MatrixCompletionModel(
-            mc_model.shape, mc_model.omega, mc_model.sampled_values,
-            tau=tau_heuristic(mc_model),
-        )
+        replace(mc_model, tau=tau_heuristic(mc_model))
     )
 
     rpca_model, _ = generate_instance(
@@ -203,20 +195,16 @@ def test_criterion_3_fejer_monotonicity(ref_problem):
     k_short = 2000
 
     def iterate(n_steps):
-        s = DualState(
-            k=0,
-            y=Point.zeros(p.op.codomain_shape),
-            x=Point.zeros(p.op.domain_shape),
-        )
-        ys = [s.y]
+        y = np.zeros(p.op.codomain_shape)
+        ys = [y]
         for _ in range(n_steps):
-            s = step(p, s, h)
-            ys.append(s.y)
+            y, _ = step(p, y, h)
+            ys.append(y)
         return ys
 
     ys = iterate(k_short)
     y_bar = iterate(10 * k_short)[-1]
-    dists = [(y - y_bar).norm() for y in ys]
+    dists = [float(np.linalg.norm(y - y_bar)) for y in ys]
     slack = max(
         (b - a) for a, b in zip(dists, dists[1:])
     )
@@ -282,30 +270,24 @@ def test_criterion_6_svt_reproduction():
         )
     )
     tau = tau_heuristic(model)
-    p = build_problem(
-        MatrixCompletionModel(model.shape, model.omega, model.sampled_values, tau=tau)
-    )
+    p = build_problem(replace(model, tau=tau))
     bound = estimated_bound(p)
     h = default_step_size(p, bound)
 
     # hand-coded SVT recursion on the compact sample vector
-    rows, cols = model.omega.T
+    rows, cols = model.mask.indices.T
     b = model.sampled_values
     y = np.zeros(b.size)
-    s = DualState(
-        k=0,
-        y=Point.zeros(p.op.codomain_shape),
-        x=Point.zeros(p.op.domain_shape),
-    )
+    y_step = np.zeros(p.op.codomain_shape)
     stepwise = 0.0
     for _ in range(100):
-        lifted = np.zeros(model.shape)
+        lifted = np.zeros(model.mask.shape)
         lifted[rows, cols] = y / tau  # A*y / mu with mu = tau
         x_mat = tau * svt(lifted, 1.0)
         y = y + h * (b - x_mat[rows, cols])
-        s = step(p, s, h)
-        stepwise = max(stepwise, float(np.max(np.abs(s.x.data - x_mat))))
-        stepwise = max(stepwise, float(np.max(np.abs(s.y.data - y))))
+        y_step, x_step = step(p, y_step, h)
+        stepwise = max(stepwise, float(np.max(np.abs(x_step - x_mat))))
+        stepwise = max(stepwise, float(np.max(np.abs(y_step - y))))
 
     abs_tol = 1e-8 / max(1.0, p.b.norm())
     x, yy, trace = solve(
@@ -362,16 +344,12 @@ def test_criterion_8_gauge_path_consistency(ref_problem):
 
     def run_pair(p_norm, p_gauge, hh):
         nonlocal worst
-        sn = DualState(
-            k=0,
-            y=Point.zeros(p_norm.op.codomain_shape),
-            x=Point.zeros(p_norm.op.domain_shape),
-        )
-        sg = sn
+        yn = yg = np.zeros(p_norm.op.codomain_shape)
         for _ in range(100):
-            sn = step(p_norm, sn, hh)
-            sg = step(p_gauge, sg, hh)
-            worst = max(worst, (sn.x - sg.x).norm(), (sn.y - sg.y).norm())
+            yn, xn = step(p_norm, yn, hh)
+            yg, xg = step(p_gauge, yg, hh)
+            worst = max(worst, float(np.linalg.norm(xn - xg)),
+                        float(np.linalg.norm(yn - yg)))
 
     # vector norms on the shared reference instance with mu = tau
     for kind in ("l1", "l2", "linf"):

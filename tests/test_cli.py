@@ -88,7 +88,8 @@ def test_instance_roundtrip_matrix_completion(tmp_path):
     path = write_instance(spec, tmp_path / "inst")
     model, truth = load_instance(path)
     fresh, fresh_truth = generate_instance(spec)
-    assert np.array_equal(model.omega, fresh.omega)
+    assert model.mask.shape == fresh.mask.shape == (6, 5)
+    assert np.array_equal(model.mask.indices, fresh.mask.indices)
     assert np.array_equal(model.sampled_values, fresh.sampled_values)
     assert np.array_equal(truth.data, fresh_truth.data)
 
@@ -266,6 +267,28 @@ def test_main_gen_solve_check(kind, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max_violation" in out
     assert float(out.split("max_violation=")[1]) <= 1e-6
+
+
+def test_main_rejects_a_non_integer_stored_shape(tmp_path, capsys):
+    # A hand-edited shape is rejected, not truncated to the integers below.
+    spec, tau = GEN_SOLVE_CHECK["matrix_completion"]
+    spec_path = tmp_path / "spec.json"
+    _write_json(spec_path, spec)
+    inst = tmp_path / "inst" / "instance.json"
+    assert main(["gen", "--spec", str(spec_path), "--out", str(inst.parent)]) == EXIT_OK
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, {"instance_path": "inst/instance.json", "tau": tau,
+                           "solve": {"max_iter": 5}, "output": {"solution": "solution.json"}})
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_MAX_ITER
+    check = ["check", "--problem", str(inst), "--solution", str(tmp_path / "solution.json")]
+    assert main(check) == EXIT_OK
+    meta = json.loads(inst.read_text())
+    for shape in ([6.9, 5], [6, True]):
+        _write_json(inst, {**meta, "shape": shape})
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert main(check) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("sampling shape") == 2
 
 
 def test_main_config_exit_code(tmp_path):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from augdual.cli import InstanceSpec, generate_instance
 from augdual.linop import BlockSum, Dense, Point, SamplingMask
 from augdual.models import (
     AugL1Model,
@@ -32,19 +34,21 @@ def test_tau_rule_matrix_completion():
     # p = 0.5, ||P_Omega(M)||_F = 3 -> 24
     omega = tuple((i, j) for i in range(2) for j in range(2))[:2]
     vals = np.array([3.0, 0.0])
-    model = MatrixCompletionModel((2, 2), omega, vals)
-    assert model.sample_ratio == 0.5
+    model = MatrixCompletionModel(SamplingMask((2, 2), omega), vals)
     assert tau_heuristic(model) == pytest.approx(24.0)
 
 
 def test_completion_model_keeps_omega_as_the_mask_does():
-    model = MatrixCompletionModel((2, 3), ((0, 1), (1, 2)), [1.0, 2.0])
-    assert np.array_equal(model.omega, [[0, 1], [1, 2]])
-    assert model.omega.dtype.kind == "i" and not model.omega.flags.writeable
-    # Omega is checked by SamplingMask: duplicates, floats and empty sets.
-    for bad in (((0, 1), (0, 1)), np.array([[0.0, 1.0], [1.0, 2.0]]), ()):
+    mask = SamplingMask((2, 3), ((0, 1), (1, 2)))
+    model = MatrixCompletionModel(mask, [1.0, 2.0])
+    assert model.mask is mask
+    assert np.array_equal(model.sampled_values, [1.0, 2.0])
+    # One sampled value per index of omega, and omega comes as a mask.
+    for values in ([1.0], [1.0, 2.0, 3.0]):
         with pytest.raises(ValueError):
-            MatrixCompletionModel((2, 3), bad, [1.0, 2.0])
+            MatrixCompletionModel(mask, values)
+    with pytest.raises(TypeError):
+        MatrixCompletionModel(((0, 1), (1, 2)), [1.0, 2.0])
 
 
 def test_tau_rule_rpca():
@@ -75,7 +79,8 @@ def test_build_requires_tau():
 
 
 def test_build_matrix_completion():
-    model = MatrixCompletionModel((2, 3), ((0, 0), (1, 2)), np.array([1.0, 2.0]), tau=4.0)
+    mask = SamplingMask((2, 3), ((0, 0), (1, 2)))
+    model = MatrixCompletionModel(mask, np.array([1.0, 2.0]), tau=4.0)
     p = build_problem(model)
     assert isinstance(p.op, SamplingMask)
     assert p.regularizer.kind == "nuclear"
@@ -83,7 +88,8 @@ def test_build_matrix_completion():
 
 
 def test_build_matrix_completion_reuses_the_checked_mask(monkeypatch):
-    model = MatrixCompletionModel((2, 3), ((0, 0), (1, 2)), np.array([1.0, 2.0]), tau=4.0)
+    # generate -> tau_heuristic -> replace -> build_problem: the mask built
+    # with the instance is the operator, and nothing checks omega again.
     built = 0
     post_init = SamplingMask.__post_init__
 
@@ -93,8 +99,11 @@ def test_build_matrix_completion_reuses_the_checked_mask(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(SamplingMask, "__post_init__", counting_post_init)
-    p = build_problem(model)
-    assert built == 0
+    model, _ = generate_instance(
+        InstanceSpec(kind="matrix_completion", seed=1, rows=24, cols=12, rank=1, p=0.9)
+    )
+    p = build_problem(dataclasses.replace(model, tau=tau_heuristic(model)))
+    assert built == 1
     assert p.op is model.mask
 
 
@@ -156,11 +165,8 @@ def test_small_matrix_completion_recovers_rank_one():
         (i, j) for i in range(5) for j in range(5) if rng.uniform() < 0.8
     )
     vals = np.array([m[i, j] for i, j in omega])
-    model = MatrixCompletionModel((5, 5), omega, vals)
-    tau = tau_heuristic(model)
-    p = build_problem(
-        MatrixCompletionModel((5, 5), omega, vals, tau=tau)
-    )
+    model = MatrixCompletionModel(SamplingMask((5, 5), omega), vals)
+    p = build_problem(dataclasses.replace(model, tau=tau_heuristic(model)))
     x, _, trace = solve(
         p, SolveConfig(primal_tol=1e-10, max_iter=200_000, accelerated=True)
     )

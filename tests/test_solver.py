@@ -7,19 +7,16 @@ from augdual.cli import InstanceSpec, generate_instance
 from augdual.gauge import NormGauge
 from augdual.linop import SPARSE_APPLY_FRACTION, Dense, LinearOperator, Point
 from augdual.models import build_problem, tau_heuristic
+from augdual.oracle import dual_gradient, dual_objective, step
 from augdual.prox import NormSpec
 from augdual.solver import (
     ConfigurationError,
-    DualState,
     ProblemSpec,
     SolveConfig,
     default_step_size,
-    dual_gradient,
-    dual_objective,
     estimated_bound,
     primal_from_dual,
     solve,
-    step,
     step_size_bound,
     validate_config,
 )
@@ -40,13 +37,12 @@ def test_hand_iteration_scalar():
     # A = I (1x1), b = (5), tau = mu = 1, h = 1:
     # x1 = 0, y1 = 5; x2 = shrink(5) = 4, y2 = 6
     p = ProblemSpec(Dense(np.eye(1)), Point.vector([5.0]), NormSpec("l1"), 1.0, 1.0)
-    s0 = DualState(k=0, y=Point.zeros(1), x=Point.zeros(1))
-    s1 = step(p, s0, 1.0)
-    assert s1.x.data[0] == 0.0
-    assert s1.y.data[0] == 5.0
-    s2 = step(p, s1, 1.0)
-    assert s2.x.data[0] == 4.0
-    assert s2.y.data[0] == 6.0
+    y1, x1 = step(p, np.zeros(1), 1.0)
+    assert x1[0] == 0.0
+    assert y1[0] == 5.0
+    y2, x2 = step(p, y1, 1.0)
+    assert x2[0] == 4.0
+    assert y2[0] == 6.0
 
 
 def test_step_size_interval():
@@ -67,22 +63,28 @@ def test_accelerated_step_cap():
         validate_config(p, SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
 
 
+@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0])
+def test_norm_bound_must_be_finite_and_positive(bound):
+    p, _ = _l1_problem()
+    with pytest.raises(ConfigurationError, match="norm_bound"):
+        validate_config(p, SolveConfig(), bound)
+    with pytest.raises(ConfigurationError, match="norm_bound"):
+        solve(p, SolveConfig(), norm_bound=bound)
+
+
 def test_gradient_of_dual_objective():
     p, _ = _l1_problem()
     rng = np.random.default_rng(1)
     for _ in range(5):
-        y = Point.vector(rng.standard_normal(4))
+        y = rng.standard_normal(4)
         g = dual_gradient(p, y)
         eps = 1e-6
         fd = np.zeros(4)
         for i in range(4):
             e = np.zeros(4)
             e[i] = eps
-            fd[i] = (
-                dual_objective(p, y + Point.vector(e))
-                - dual_objective(p, y - Point.vector(e))
-            ) / (2 * eps)
-        assert np.max(np.abs(fd - g.data)) <= 1e-6 * (1 + g.norm())
+            fd[i] = (dual_objective(p, y + e) - dual_objective(p, y - e)) / (2 * eps)
+        assert np.max(np.abs(fd - g)) <= 1e-6 * (1 + np.linalg.norm(g))
 
 
 def test_solve_reaches_feasibility():
@@ -160,7 +162,7 @@ def test_gauge_problems_require_mu_equal_tau():
 
 
 def test_zero_rhs_terminates_immediately():
-    p = ProblemSpec(Dense(np.eye(3)), Point.zeros(3), NormSpec("l1"), 1.0, 1.0)
+    p = ProblemSpec(Dense(np.eye(3)), Point.vector(np.zeros(3)), NormSpec("l1"), 1.0, 1.0)
     x, y, trace = solve(p, SolveConfig())
     assert trace.termination == "feasibility_tol"
     assert len(trace.records) == 1
@@ -301,17 +303,17 @@ def test_carried_adjoint_keeps_the_textbook_iterates(spec):
                         norm_bound=bound)
     assert trace.termination == "max_iter"
     h = default_step_size(p, bound)
-    s = DualState(k=0, y=Point.zeros(p.op.codomain_shape), x=Point.zeros(p.op.domain_shape))
+    y_ref = np.zeros(p.op.codomain_shape)
     for _ in range(iterations):
-        s = step(p, s, h)
-    assert y.data.tobytes() == s.y.data.tobytes()
-    assert x.data.tobytes() == step(p, s, h).x.data.tobytes()
+        y_ref, _ = step(p, y_ref, h)
+    assert y.data.tobytes() == y_ref.tobytes()
+    assert x.data.tobytes() == step(p, y_ref, h)[1].tobytes()
 
 
 @pytest.mark.parametrize("spec", _SMALL_SPECS[1:], ids=lambda spec: spec["kind"])
 def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
     # The same with momentum and restart, against the accelerated iteration
-    # written out on Points with one adjoint per gradient.
+    # written out with one adjoint per gradient.
     p = _small_problem(spec)
     bound = estimated_bound(p)
     iterations = 40
@@ -319,14 +321,14 @@ def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
                                        accelerated=True), norm_bound=bound)
     assert trace.termination == "max_iter"
     h = default_step_size(p, bound)
-    y_ref = w = Point.zeros(p.op.codomain_shape)
+    y_ref = w = np.zeros(p.op.codomain_shape)
     t = 1.0
     restarts = 0
     for _ in range(iterations):
         r = -dual_gradient(p, w)
         y_next = w + r * h
         dy = y_next - y_ref
-        if r.dot(dy) < 0.0:
+        if float(r.ravel() @ dy.ravel()) < 0.0:
             w, t = y_next, 1.0
             restarts += 1
         else:
@@ -335,5 +337,5 @@ def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
             t = t_next
         y_ref = y_next
     assert restarts > 0
-    assert y.data.tobytes() == y_ref.data.tobytes()
-    assert x.data.tobytes() == primal_from_dual(p, y_ref.data)[0].tobytes()
+    assert y.data.tobytes() == y_ref.tobytes()
+    assert x.data.tobytes() == primal_from_dual(p, y_ref)[0].tobytes()
