@@ -38,6 +38,17 @@ import numpy as np
 SPARSE_APPLY_FRACTION = 0.08
 
 
+def _positive_shape(shape, kind: str) -> Tuple[int, int]:
+    """``shape`` as a pair of Python ints; a ValueError naming ``kind``
+    unless it is two positive integers (no floats, bools or other lengths)."""
+    dims = tuple(shape) if np.iterable(shape) else ()
+    if len(dims) != 2 or not all(
+        isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0 for d in dims
+    ):
+        raise ValueError(f"{kind} shape {shape!r} is not two positive integers")
+    return (int(dims[0]), int(dims[1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """Immutable finite array of shape (n,), (r, c) or (2, r, c)."""
@@ -180,10 +191,12 @@ class Dense(LinearOperator):
     def _apply(self, x: np.ndarray, support=None) -> np.ndarray:
         """Ax; on a sparse x, from the columns on the support S only.
 
-        ``support`` is the pair (S, x[S]) with S = np.flatnonzero(x), for a
-        caller that has already found it; an override must accept it.
+        ``support`` is the pair (S, x[S]) with S = np.flatnonzero(x != 0),
+        for a caller that has already found it; an override must accept it.
         """
-        nz = np.flatnonzero(x) if support is None else support[0]
+        # Searching the boolean x != 0 finds the same S (-0.0 and NaN
+        # included) in about half the time of searching x itself.
+        nz = np.flatnonzero(x != 0) if support is None else support[0]
         if nz.size > SPARSE_APPLY_FRACTION * x.size:
             return self.matrix @ x
         return self._blocks.columns(nz) @ (x[nz] if support is None else support[1])
@@ -201,7 +214,7 @@ class Dense(LinearOperator):
         support; linearized-Bregman iterates keep their support on most
         iterations. The rows are summed in support order.
         """
-        nz = np.flatnonzero(x)
+        nz = np.flatnonzero(x != 0)
         x_nz = x[nz]
         ax = self._apply(x, (nz, x_nz))
         m, n = self.matrix.shape
@@ -220,13 +233,7 @@ class SamplingMask(LinearOperator):
     indices: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(self.shape) if np.iterable(self.shape) else ()
-        if len(shape) != 2 or not all(
-            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0
-            for s in shape
-        ):
-            raise ValueError(f"sampling shape {self.shape!r} is not two positive integers")
-        shape = (int(shape[0]), int(shape[1]))
+        shape = _positive_shape(self.shape, "sampling")
         idx = np.asarray(self.indices)
         if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != 2 or not idx.size:
             raise ValueError("sampling indices must be a nonempty integer (k, 2) array")
@@ -260,12 +267,13 @@ class SamplingMask(LinearOperator):
 
 @dataclass(frozen=True, eq=False)
 class BlockSum(LinearOperator):
-    """(L, S) -> L + S, realizing the constraint D = L + S."""
+    """(L, S) -> L + S, realizing the constraint D = L + S; the shape is
+    checked as ``SamplingMask`` checks its own."""
 
     shape: Tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
+        object.__setattr__(self, "shape", _positive_shape(self.shape, "block-sum"))
 
     @property
     def domain_shape(self) -> Tuple[int, int, int]:

@@ -110,6 +110,15 @@ def test_sampling_mask_rejects_duplicates_and_bounds():
     assert SamplingMask([np.int64(2), 3], ((0, 0),)).shape == (2, 3)
 
 
+def test_blocksum_rejects_a_shape_that_is_not_two_positive_integers():
+    for shape in ((2.5, True), (2.5, 3), (2.0, 3), (True, 3), (0, -3), (0, 3), (-2, 3),
+                  (2,), (2, 3, 1), 6, "23"):
+        with pytest.raises(ValueError, match="block-sum shape"):
+            BlockSum(shape)
+    assert BlockSum([np.int64(2), 3]).shape == (2, 3)
+    assert type(BlockSum((np.int64(2), 3)).shape[0]) is int
+
+
 def test_blocksum_apply_adjoint():
     op = BlockSum((2, 2))
     l = np.eye(2)

@@ -3,6 +3,7 @@ import pytest
 
 from augdual.cli import InstanceSpec, generate_instance
 from augdual.linop import BlockSum, Dense, Point, SamplingMask
+from augdual import numerics
 from augdual.numerics import lanczos_norm, operator_norm_estimate, power_iteration, svd
 from augdual.prox import NormSpec
 from augdual.solver import ConfigurationError, ProblemSpec, SolveConfig, solve
@@ -123,6 +124,11 @@ def test_lanczos_closed_form_norms_in_one_step(op, expected):
     value, converged, steps = lanczos_norm(op, tol=1e-12, max_iter=5000, seed=0)
     assert converged and steps == 1
     assert abs(value - expected) <= 1e-15 * expected
+    # Bit for bit the one-step Ritz value sqrt(<q, A A* q>) of the seeded start.
+    q = np.random.default_rng(0).standard_normal(int(np.prod(op.codomain_shape)))
+    q = (q / np.linalg.norm(q)).reshape(op.codomain_shape)
+    aa_q = op.apply(op.adjoint(Point(q))).data
+    assert value == float(np.sqrt(q.ravel() @ aa_q.ravel()))
 
 
 @pytest.mark.parametrize("shape", [(40, 90), (90, 40), (30, 200), (200, 30)])
@@ -170,3 +176,78 @@ def test_lanczos_needs_far_fewer_steps_than_power_iteration():
     top = svd(op.matrix).s[0]
     assert abs(value - top) <= 1e-12 * top
     assert abs(value - power_value) <= 1e-9 * top
+
+
+def _counting_maps(monkeypatch):
+    """Count the checked forward and adjoint calls of every Dense."""
+    calls = {"apply": 0, "adjoint": 0}
+    for name in calls:
+        original = getattr(Dense, name)
+
+        def counted(self, x, name=name, original=original):
+            calls[name] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(Dense, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
+def test_lanczos_gram_path_on_wide_and_tall_dense(shape, monkeypatch):
+    mat = np.random.default_rng(shape[0] + 3 * shape[1]).standard_normal(shape)
+    top = np.linalg.norm(mat, 2)
+    op = Dense(mat)
+    calls = _counting_maps(monkeypatch)
+    value, converged, steps = lanczos_norm(op, tol=1e-12, max_iter=5000, seed=0)
+    assert converged and steps <= min(shape)
+    assert abs(value - top) <= 1e-12 * top
+    assert value <= top * (1 + 1e-14)
+    # The Gram matrix replaces the maps inside the steps; only the final
+    # power step goes through them, and the operator keeps nothing new.
+    assert calls == {"apply": 1, "adjoint": 1}
+    assert set(vars(op)) == {"matrix", "_blocks"}
+    # The composed maps give the same estimate up to rounding.
+    monkeypatch.setattr(numerics, "GRAM_MEMORY_FRACTION", 0.0)
+    matvec_value, matvec_converged, matvec_steps = lanczos_norm(op, 1e-12, 5000, 0)
+    assert matvec_converged and calls["apply"] == 1 + matvec_steps
+    assert abs(value - matvec_value) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("shape, gram", [((40, 160), True), ((40, 159), False),
+                                         ((30, 30), False)])
+def test_lanczos_gram_path_needs_a_quarter_of_the_memory(shape, gram, monkeypatch):
+    # min(m, n)^2 <= m n / 4 takes the Gram path; a square or barely wide
+    # matrix runs one forward map per step.
+    op = Dense(np.random.default_rng(4).standard_normal(shape))
+    calls = _counting_maps(monkeypatch)
+    _, converged, steps = lanczos_norm(op, tol=1e-12, max_iter=5000, seed=0)
+    assert converged and steps > 1
+    assert calls == ({"apply": 1, "adjoint": 1} if gram
+                     else {"apply": steps, "adjoint": steps})
+
+
+def test_lanczos_gram_path_measures_an_overridden_map():
+    class Tripled(Dense):
+        def _apply(self, x, support=None):
+            return 3.0 * super()._apply(x, support)
+
+        def _adjoint(self, y):
+            return 3.0 * super()._adjoint(y)
+
+    mat = np.random.default_rng(8).standard_normal((20, 120))
+    value, converged, _ = lanczos_norm(Tripled(mat), 1e-12, 5000, 0)
+    top = np.linalg.norm(mat, 2)
+    assert converged and abs(value - 3.0 * top) <= 1e-12 * top
+
+
+def test_lanczos_gram_path_step_cap():
+    op = Dense(np.random.default_rng(2).standard_normal((10, 50)))
+    value, converged, steps = lanczos_norm(op, tol=1e-16, max_iter=2, seed=0)
+    assert not converged and steps == 2
+    assert 0 < value <= svd(op.matrix).s[0]
+    with pytest.warns(RuntimeWarning, match="operator norm power iteration did not reach"):
+        operator_norm_estimate(op, tol=1e-16, max_iter=2)
+
+
+def test_lanczos_gram_path_zero_operator():
+    assert lanczos_norm(Dense(np.zeros((2, 20))), 1e-12, 5000, 0) == (0.0, True, 1)
