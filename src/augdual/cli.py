@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -92,8 +93,8 @@ class InstanceSpec:
                 raise ValueError("rank must satisfy 1 <= r <= min(rows, cols)")
             if not (1 <= self.k <= self.rows * self.cols):
                 raise ValueError("sparse entry count out of range")
-            if self.lam <= 0:
-                raise ValueError("lam must be positive")
+            if not (math.isfinite(self.lam) and self.lam > 0):
+                raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
         else:
             raise ValueError(f"unknown instance kind {self.kind!r}")
 

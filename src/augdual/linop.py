@@ -160,7 +160,7 @@ class _SupportBlocks:
 
 @dataclass(frozen=True, eq=False)
 class Dense(LinearOperator):
-    """Explicit m-by-n matrix acting on vectors.
+    """Explicit m-by-n matrix (m, n >= 1) acting on vectors.
 
     ``matrix`` is a read-only view of the caller's array, and the operator
     caches products computed from it: the caller must not mutate that array
@@ -172,8 +172,7 @@ class Dense(LinearOperator):
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float).view()
-        if mat.ndim != 2:
-            raise ValueError("dense operator needs a 2-D matrix")
+        _positive_shape(mat.shape, "dense")
         if not np.isfinite(mat).all():
             raise ValueError("dense operator entries must be finite")
         mat.setflags(write=False)

@@ -74,8 +74,8 @@ class RpcaModel:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,11 +2,11 @@
 
 The SVD is LAPACK's divide-and-conquer routine (``np.linalg.svd``) plus a
 relative clamp of negligible singular values, so rank decisions in the
-singular-value thresholding loop are stable. The operator norm ||A|| is
-estimated by a seeded Lanczos process on the smaller of A A* and A* A. It
-needs only the operator's forward and adjoint maps; for a wide or tall Dense
-it multiplies by the explicit smaller Gram matrix instead and checks the
-result with one power step through those maps.
+singular-value thresholding loop are stable. The operator norm ||A|| of a
+wide or tall Dense is the square root of the top eigenvalue of its explicit
+smaller Gram matrix (LAPACK); every other operator gets a seeded Lanczos
+estimate on the smaller of A A* and A* A, which needs only the forward and
+adjoint maps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ RANK_CLAMP = 1e-12
 # means the Krylov space is invariant (exact up to rounding) and the Ritz
 # value is an eigenvalue.
 _INVARIANT_RTOL = 1e-12
-# Lanczos multiplies by the explicit smaller Gram matrix of a Dense when that
+# The norm of a Dense comes from its explicit smaller Gram matrix when that
 # matrix takes at most this fraction of the Dense's memory.
 GRAM_MEMORY_FRACTION = 0.25
 
@@ -72,7 +72,7 @@ def power_iteration(
     Returns (estimate of ||A||, converged flag, iterations). Convergence is
     relative change of the Rayleigh quotient <= tol. The estimate never
     exceeds the true norm. The package estimates norms with
-    ``lanczos_norm``; this is kept as the slower reference.
+    ``operator_norm_estimate``; this is kept as the slower reference.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -102,10 +102,12 @@ def _small_gram(op: LinearOperator):
 
     A A* when the codomain is smaller and A* A otherwise, formed by one
     symmetric BLAS-3 product (numpy runs syrk for ``a @ a.T``), when it takes
-    at most GRAM_MEMORY_FRACTION of A's memory and is finite. Every other
-    operator, and a square-ish Dense, gets None.
+    at most GRAM_MEMORY_FRACTION of A's memory and is finite. G is a
+    transient of min(m, n)^2 floats (0.72 MB for 300x1400). Every other
+    operator, a square-ish Dense and a Dense subclass, whose maps may differ
+    from its matrix, get None.
     """
-    if not isinstance(op, Dense):
+    if type(op) is not Dense:
         return None
     a = op.matrix
     m, n = a.shape
@@ -128,29 +130,19 @@ def lanczos_norm(
     """Lanczos estimate of ||A|| from a seeded random start.
 
     Runs on the smaller Gram operator, A A* when the codomain is smaller and
-    A* A otherwise, with full reorthogonalization (two Gram-Schmidt passes)
-    of each new vector against the stored basis. Stops when the top
-    eigenvalue theta of the tridiagonal T_j changes by at most ``tol``
-    relative, or when beta_j vanishes (an invariant Krylov space), or after
-    min(max_iter, dim) steps. Returns (estimate, converged, steps).
-
-    For a Dense whose smaller Gram matrix G takes at most a quarter of A's
-    memory (min(m, n)^2 <= m n / 4, as for a 300x1400 sensing matrix), G is
-    formed once and each step multiplies by it, which reads G instead of A
-    twice; G is a transient of min(m, n)^2 floats, never kept. That path
-    ends with one power step through the operator's own maps: from the top
-    Ritz vector v, u = first(v) / ||first(v)|| and the estimate is
-    ||second(u)||, where first and second are the two maps of the Gram
-    operator in order (A* then A for A A*). Every other operator runs the
-    steps through ``apply`` and ``adjoint`` and its estimate is sqrt(theta).
-    Either way the estimate never exceeds ||A|| up to rounding.
+    A* A otherwise, through the operator's ``apply`` and ``adjoint``, with
+    full reorthogonalization (two Gram-Schmidt passes) of each new vector
+    against the stored basis. Stops when the top eigenvalue theta of the
+    tridiagonal T_j changes by at most ``tol`` relative, or when beta_j
+    vanishes (an invariant Krylov space), or after min(max_iter, dim) steps.
+    Returns (sqrt(theta), converged, steps); the estimate never exceeds
+    ||A|| up to rounding.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     first, second, shape = op.apply, op.adjoint, op.domain_shape
     if math.prod(op.codomain_shape) < math.prod(shape):
         first, second, shape = op.adjoint, op.apply, op.codomain_shape
-    gram = _small_gram(op)
     # The basis holds flat vectors; the operators see them in their shape.
     q = np.random.default_rng(seed).standard_normal(math.prod(shape))
     q = q / np.linalg.norm(q)
@@ -168,10 +160,7 @@ def lanczos_norm(
         if j:
             tri[j, j - 1] = tri[j - 1, j] = beta
         basis[j] = q
-        if gram is None:
-            w = second(first(Point(q.reshape(shape)))).data.ravel()
-        else:
-            w = gram @ q
+        w = second(first(Point(q.reshape(shape)))).data.ravel()
         tri[j, j] = q @ w
         stored = basis[: j + 1]
         for _ in range(2):
@@ -184,31 +173,29 @@ def lanczos_norm(
             steps, converged = j + 1, True
             break
         q = w / beta
-    if gram is None or steps == 0:
-        return float(np.sqrt(max(theta, 0.0))), converged, steps
-    ritz = np.linalg.eigh(tri[:steps, :steps])[1][:, -1] @ basis[:steps]
-    u = first(Point(ritz.reshape(shape))).data
-    u_norm = float(np.linalg.norm(u))
-    if u_norm == 0:
-        return 0.0, converged, steps
-    return second(Point(u / u_norm)).norm(), converged, steps
+    return float(np.sqrt(max(theta, 0.0))), converged, steps
 
 
 def operator_norm_estimate(
     op: LinearOperator, tol: float = 1e-12, max_iter: int = 5000, seed: int = 0
 ) -> float:
-    """Largest-singular-value estimate of ``op`` by Lanczos (``lanczos_norm``).
+    """Largest-singular-value estimate of ``op``.
 
-    The value is a lower bound on ||A|| up to rounding. ``tol`` bounds the
-    relative change of the Ritz value of ||A||^2 between consecutive steps,
-    not the error of the estimate. For a Dense whose smaller Gram matrix
-    takes at most a quarter of its memory, the steps multiply by that
-    matrix, formed once (a transient of min(m, n)^2 floats, 0.72 MB for a
-    300x1400 matrix), and the value is one power step from the top Ritz
-    vector through the operator's own maps. A RuntimeWarning flags a run
-    that hit ``max_iter``; its text predates Lanczos and ``solvebench``
-    matches it.
+    For a Dense whose smaller Gram matrix G takes at most a quarter of its
+    memory (``_small_gram``), the value is sqrt of G's top eigenvalue from
+    LAPACK (``np.linalg.eigvalsh``), accurate to rounding; ``tol`` and
+    ``max_iter`` do not apply there. Every other operator gets the Lanczos
+    estimate (``lanczos_norm``), a lower bound on ||A|| up to rounding, and
+    ``tol`` bounds the relative change of its Ritz value of ||A||^2 between
+    consecutive steps, not the error of the estimate. A RuntimeWarning flags
+    a Lanczos run that hit ``max_iter``; its text predates Lanczos and
+    ``solvebench`` matches it.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    gram = _small_gram(op)
+    if gram is not None:
+        return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
     value, converged, _ = lanczos_norm(op, tol, max_iter, seed)
     if not converged:
         warnings.warn(

@@ -379,13 +379,12 @@ def solve(
 
 
 def estimated_bound(p: ProblemSpec) -> float:
-    """Default bound on ||A||: the Lanczos estimate inflated by 1%.
+    """Default bound on ||A||: ``numerics.operator_norm_estimate`` inflated
+    by 1%.
 
-    The estimate (``numerics.operator_norm_estimate``) is a lower estimate
-    of ||A|| up to rounding, not a certified bound. For a wide or tall Dense
-    (smaller Gram matrix at most a quarter of A's memory) it comes from the
-    explicit Gram matrix, formed and dropped inside the call, and one final
-    power step through the operator's maps. The estimate is resolved through
+    The estimate is exact up to rounding for a wide or tall Dense (the top
+    eigenvalue of its explicit smaller Gram matrix) and a Lanczos lower
+    estimate otherwise; neither is a certified bound. It is resolved through
     the numerics module at call time, so a patched
     numerics.operator_norm_estimate is seen here too.
     """

@@ -30,6 +30,7 @@ from augdual.solver import (
 )
 
 L1_SPEC = {"kind": "aug_l1", "seed": 7, "n": 8, "m": 4, "k": 2}
+RPCA_SPEC = {"kind": "rpca", "seed": 7, "rows": 5, "cols": 4, "rank": 1, "k": 2}
 
 
 def _write_json(path, obj):
@@ -317,6 +318,8 @@ _BAD_FIELDS = {
     "instance_path_number": ({"instance": None, "instance_path": 5}, "instance_path"),
     "instance_n_float": ({"instance": {**L1_SPEC, "n": 30.5}}, "'n'"),
     "instance_seed_string": ({"instance": {**L1_SPEC, "seed": "1"}}, "'seed'"),
+    "lam_nan": ({"instance": {**RPCA_SPEC, "lam": math.nan}, "tau": {"value": 50}}, "lam"),
+    "lam_inf": ({"instance": {**RPCA_SPEC, "lam": math.inf}, "tau": {"value": 50}}, "lam"),
 }
 
 

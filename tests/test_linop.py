@@ -119,6 +119,12 @@ def test_blocksum_rejects_a_shape_that_is_not_two_positive_integers():
     assert type(BlockSum((np.int64(2), 3)).shape[0]) is int
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (5,), (2, 3, 4)])
+def test_dense_rejects_a_matrix_that_is_not_two_positive_dimensions(shape):
+    with pytest.raises(ValueError, match="dense shape"):
+        Dense(np.zeros(shape))
+
+
 def test_blocksum_apply_adjoint():
     op = BlockSum((2, 2))
     l = np.eye(2)

@@ -59,6 +59,12 @@ def test_tau_rule_rpca():
     assert tau_heuristic(model) == pytest.approx(30.9839, abs=5e-4)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+def test_rpca_model_rejects_a_lam_that_is_not_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        RpcaModel(np.eye(2), lam=lam)
+
+
 def test_tau_rule_aug_nuclear():
     model = AugNuclearModel(Dense(np.eye(2)), Point.vector([1.0, 0.0]))
     assert tau_heuristic(model, magnitude=1.5) == pytest.approx(15.0)

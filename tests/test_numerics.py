@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,41 +194,43 @@ def _counting_maps(monkeypatch):
     return calls
 
 
+# The Gram path of operator_norm_estimate; the tests keep their
+# `lanczos_gram_path` names so that their ids stay stable.
 @pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
 def test_lanczos_gram_path_on_wide_and_tall_dense(shape, monkeypatch):
     mat = np.random.default_rng(shape[0] + 3 * shape[1]).standard_normal(shape)
     top = np.linalg.norm(mat, 2)
     op = Dense(mat)
+    before = dict(vars(op))
     calls = _counting_maps(monkeypatch)
-    value, converged, steps = lanczos_norm(op, tol=1e-12, max_iter=5000, seed=0)
-    assert converged and steps <= min(shape)
-    assert abs(value - top) <= 1e-12 * top
-    assert value <= top * (1 + 1e-14)
-    # The Gram matrix replaces the maps inside the steps; only the final
-    # power step goes through them, and the operator keeps nothing new.
-    assert calls == {"apply": 1, "adjoint": 1}
-    assert set(vars(op)) == {"matrix", "_blocks"}
-    # The composed maps give the same estimate up to rounding.
-    monkeypatch.setattr(numerics, "GRAM_MEMORY_FRACTION", 0.0)
-    matvec_value, matvec_converged, matvec_steps = lanczos_norm(op, 1e-12, 5000, 0)
-    assert matvec_converged and calls["apply"] == 1 + matvec_steps
-    assert abs(value - matvec_value) <= 1e-13 * top
+    value = operator_norm_estimate(op)
+    assert abs(value - top) <= 1e-14 * top
+    # The value comes from the Gram matrix alone, which the operator does
+    # not keep.
+    assert calls == {"apply": 0, "adjoint": 0}
+    assert vars(op) == before
+    # Lanczos through the maps lands on the same value up to rounding, and
+    # not above it.
+    lanczos_value, converged, _ = lanczos_norm(op, 1e-12, 5000, 0)
+    assert converged and abs(value - lanczos_value) <= 1e-12 * top
+    assert lanczos_value <= value * (1 + 1e-14)
 
 
 @pytest.mark.parametrize("shape, gram", [((40, 160), True), ((40, 159), False),
                                          ((30, 30), False)])
 def test_lanczos_gram_path_needs_a_quarter_of_the_memory(shape, gram, monkeypatch):
     # min(m, n)^2 <= m n / 4 takes the Gram path; a square or barely wide
-    # matrix runs one forward map per step.
+    # matrix runs Lanczos, one forward and one adjoint map per step.
     op = Dense(np.random.default_rng(4).standard_normal(shape))
-    calls = _counting_maps(monkeypatch)
     _, converged, steps = lanczos_norm(op, tol=1e-12, max_iter=5000, seed=0)
     assert converged and steps > 1
-    assert calls == ({"apply": 1, "adjoint": 1} if gram
+    calls = _counting_maps(monkeypatch)
+    operator_norm_estimate(op)
+    assert calls == ({"apply": 0, "adjoint": 0} if gram
                      else {"apply": steps, "adjoint": steps})
 
 
-def test_lanczos_gram_path_measures_an_overridden_map():
+def test_lanczos_measures_an_overridden_map():
     class Tripled(Dense):
         def _apply(self, x, support=None):
             return 3.0 * super()._apply(x, support)
@@ -238,16 +242,27 @@ def test_lanczos_gram_path_measures_an_overridden_map():
     value, converged, _ = lanczos_norm(Tripled(mat), 1e-12, 5000, 0)
     top = np.linalg.norm(mat, 2)
     assert converged and abs(value - 3.0 * top) <= 1e-12 * top
+    # A subclass skips the Gram path, which would read the matrix alone.
+    assert operator_norm_estimate(Tripled(mat)) == value
 
 
 def test_lanczos_gram_path_step_cap():
-    op = Dense(np.random.default_rng(2).standard_normal((10, 50)))
-    value, converged, steps = lanczos_norm(op, tol=1e-16, max_iter=2, seed=0)
-    assert not converged and steps == 2
-    assert 0 < value <= svd(op.matrix).s[0]
-    with pytest.warns(RuntimeWarning, match="operator norm power iteration did not reach"):
-        operator_norm_estimate(op, tol=1e-16, max_iter=2)
+    # The Gram path has no steps to cap: a tolerance and a cap that stop
+    # Lanczos early neither warn nor change its value.
+    mat = np.random.default_rng(2).standard_normal((10, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = operator_norm_estimate(Dense(mat), tol=1e-16, max_iter=2)
+    top = np.linalg.norm(mat, 2)
+    assert abs(value - top) <= 1e-14 * top
 
 
 def test_lanczos_gram_path_zero_operator():
-    assert lanczos_norm(Dense(np.zeros((2, 20))), 1e-12, 5000, 0) == (0.0, True, 1)
+    assert operator_norm_estimate(Dense(np.zeros((2, 20)))) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(10, 50), (10, 12)], ids=["gram", "lanczos"])
+@pytest.mark.parametrize("tol", [0.0, -1e-12])
+def test_norm_estimate_rejects_a_tolerance_that_is_not_positive(shape, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        operator_norm_estimate(Dense(np.ones(shape)), tol=tol)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +294,33 @@ def test_solve_builds_a_fixed_number_of_points(spec, accelerated, monkeypatch):
     assert trace.termination == "feasibility_tol"
     assert len(trace.records) >= 20
     assert built == 2
+
+
+def test_solve_path_imports_no_scipy():
+    # numpy alone carries generate -> tau -> build -> solve; scipy would add
+    # tens of MB to every solving process. A fresh interpreter shows what the
+    # path imports. The 10x40 aug_l1 instance takes the Gram-matrix norm.
+    specs = _SMALL_SPECS + [dict(kind="aug_l1", seed=3, m=10, n=40, k=2)]
+    script = f"""
+import dataclasses, sys
+from augdual.cli import InstanceSpec, generate_instance
+from augdual.models import build_problem, tau_heuristic
+from augdual.solver import SolveConfig, solve
+for spec in {specs!r}:
+    model, truth = generate_instance(InstanceSpec(**spec))
+    magnitude = max(abs(truth.data.ravel())) if spec["kind"] == "aug_l1" else None
+    p = build_problem(dataclasses.replace(model, tau=tau_heuristic(model, magnitude)))
+    for accelerated in (False, True):
+        solve(p, SolveConfig(max_iter=50, accelerated=accelerated))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"the solve path imported {{loaded}}")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("spec", _SMALL_SPECS[1:], ids=lambda spec: spec["kind"])
