@@ -344,7 +344,8 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
             json.dump(
                 {
                     "tau": problem.tau,
-                    "mu": problem.mu,
+                    # Kept in the file format: the dual scale is tau.
+                    "mu": problem.tau,
                     "x": x.data.ravel().tolist(),
                     "y": y.data.ravel().tolist(),
                 },

@@ -14,8 +14,10 @@ A gauge is described by one of two variants:
 The generalized Moreau decomposition v = gauge_prox(v) + polar_project(v)
 turns the polar projection into a prox for arbitrary gauges. Each variant
 is a Gauge, whose prox and polar_project methods are the solver's
-regularizer protocol. Every function takes and returns numpy arrays; a
-gauge of dimension d acts on the d entries of an array of any shape.
+regularizer protocol: a gauge model is ProblemSpec(op, b, gauge, tau), with
+dual objective D(y) = -<y, b> + (tau^2/2) * dist(A*y/tau, C°)^2. Every
+function takes and returns numpy arrays; a gauge of dimension d acts on the
+d entries of an array of any shape.
 """
 
 from __future__ import annotations
@@ -50,10 +52,7 @@ class PolytopeProjectionError(RuntimeError):
 
 class Gauge:
     """Regularizer protocol of the gauge variants: prox via the generalized
-    Moreau decomposition and projection onto the polar set. Gauge problems
-    fix mu = tau."""
-
-    fixes_mu = True
+    Moreau decomposition and projection onto the polar set."""
 
     def prox(self, v: np.ndarray, scale: float) -> np.ndarray:
         return gauge_prox(self, v, scale)

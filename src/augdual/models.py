@@ -1,10 +1,12 @@
 """Builders mapping the concrete recovery models onto ProblemSpec, plus the
 tau-selection heuristics.
 
-Models: augmented l1 (sparse vectors), augmented nuclear norm, strongly
-convex matrix completion, strongly convex RPCA (low-rank plus sparse), and
-a generic gauge model. mu defaults to tau everywhere; the l1 and nuclear
-builders accept an independent mu to exercise the general iteration.
+Models: augmented l1 (sparse vectors), strongly convex matrix completion
+and strongly convex RPCA (low-rank plus sparse). Each is an instance of
+min J(x) + (1/2 tau)||x||^2 s.t. Ax = b, whose dual objective is
+D(y) = -<y, b> + (tau^2/2) * dist(A*y/tau, K)^2 with K the polar set of J.
+A general nuclear-norm or gauge model needs no builder: it is
+ProblemSpec(op, b, NormSpec("nuclear"), tau) or ProblemSpec(op, b, gauge, tau).
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .gauge import GaugeSpec
-from .linop import BlockSum, Dense, LinearOperator, Point, SamplingMask
+from .linop import BlockSum, Dense, Point, SamplingMask
 # Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
 from .prox import NormSpec, soft_threshold, svt
 from .solver import ProblemSpec
@@ -30,17 +31,6 @@ class AugL1Model:
     A: np.ndarray
     b: np.ndarray
     tau: Optional[float] = None
-    mu: Optional[float] = None  # defaults to tau
-
-
-@dataclass(frozen=True, eq=False)
-class AugNuclearModel:
-    """min ||X||_* + (1/2 tau)||X||_F^2 s.t. op(X) = b."""
-
-    op: LinearOperator
-    b: Point
-    tau: Optional[float] = None
-    mu: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +51,8 @@ class MatrixCompletionModel:
         vals = np.asarray(self.sampled_values, dtype=float).ravel()
         if vals.size != len(self.mask.indices):
             raise ValueError("sampled values must match omega")
+        if not np.isfinite(vals).all():
+            raise ValueError("sampled_values must be finite")
         object.__setattr__(self, "sampled_values", vals)
 
 
@@ -76,16 +68,10 @@ class RpcaModel:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class GaugeModel:
-    """min gauge(x) + (1/2 tau)||x||_2^2 s.t. op(x) = b."""
-
-    gauge: GaugeSpec
-    op: LinearOperator
-    b: Point
-    tau: Optional[float] = None
+        d = np.asarray(self.D, dtype=float)
+        if not np.isfinite(d).all():
+            raise ValueError("D must be finite")
+        object.__setattr__(self, "D", d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,82 +98,61 @@ class RpcaRegularizer:
 def build_problem(model) -> ProblemSpec:
     """Map a model description onto a solver ProblemSpec."""
     if isinstance(model, AugL1Model):
-        tau = _require_tau(model)
-        mu = model.mu if model.mu is not None else tau
         return ProblemSpec(
             op=Dense(model.A),
             b=Point.vector(model.b),
             regularizer=NormSpec("l1"),
-            tau=tau,
-            mu=mu,
-        )
-    if isinstance(model, AugNuclearModel):
-        tau = _require_tau(model)
-        mu = model.mu if model.mu is not None else tau
-        return ProblemSpec(
-            op=model.op,
-            b=model.b,
-            regularizer=NormSpec("nuclear"),
-            tau=tau,
-            mu=mu,
+            tau=_require_tau(model),
         )
     if isinstance(model, MatrixCompletionModel):
-        tau = _require_tau(model)
         return ProblemSpec(
             op=model.mask,
             b=Point.vector(model.sampled_values),
             regularizer=NormSpec("nuclear"),
-            tau=tau,
-            mu=tau,
+            tau=_require_tau(model),
         )
     if isinstance(model, RpcaModel):
-        tau = _require_tau(model)
-        d = np.asarray(model.D, dtype=float)
         return ProblemSpec(
-            op=BlockSum(d.shape),
-            b=Point.matrix(d),
+            op=BlockSum(model.D.shape),
+            b=Point.matrix(model.D),
             regularizer=RpcaRegularizer(model.lam),
-            tau=tau,
-            mu=tau,
-        )
-    if isinstance(model, GaugeModel):
-        tau = _require_tau(model)
-        return ProblemSpec(
-            op=model.op, b=model.b, regularizer=model.gauge, tau=tau, mu=tau
+            tau=_require_tau(model),
         )
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def _require_tau(model) -> float:
+    # ProblemSpec checks that tau is finite and positive.
     if model.tau is None:
         raise ValueError("model has no tau; set it explicitly or via tau_heuristic")
-    if model.tau <= 0:
-        raise ValueError("tau must be positive")
     return float(model.tau)
 
 
 def tau_heuristic(model, magnitude: Optional[float] = None) -> float:
     """Cited lower bounds on tau for each model kind.
 
-    The l1 and nuclear bounds need a ground-truth magnitude surrogate
-    (max-abs entry, resp. spectral norm, of the target); with real data the
-    caller supplies one and the bound loses its cited justification. The
-    completion and RPCA bounds are computable from the observed data.
+    The l1 bound needs a ground-truth magnitude surrogate (the max-abs
+    entry of the target); with real data the caller supplies one and the
+    bound loses its cited justification. The completion and RPCA bounds are
+    computable from the observed data. Every bound scales with the data, so
+    all-zero data get no tau: a ValueError names them.
     """
     if isinstance(model, AugL1Model):
         if magnitude is None:
             raise ValueError("aug_l1 tau rule needs the max-abs magnitude of x0")
-        return 10.0 * magnitude
-    if isinstance(model, AugNuclearModel):
-        if magnitude is None:
-            raise ValueError("aug_nuclear tau rule needs the spectral norm of X0")
-        return 10.0 * magnitude
-    if isinstance(model, MatrixCompletionModel):
+        data, tau = "the max-abs magnitude of x0", 10.0 * magnitude
+    elif isinstance(model, MatrixCompletionModel):
         rows, cols = model.mask.shape
         sample_ratio = len(model.mask.indices) / (rows * cols)
-        return (4.0 / sample_ratio) * float(np.linalg.norm(model.sampled_values))
-    if isinstance(model, RpcaModel):
-        return 8.0 * math.sqrt(15.0) * float(np.linalg.norm(model.D, "fro")) / (
+        data = "||sampled_values||"
+        tau = (4.0 / sample_ratio) * float(np.linalg.norm(model.sampled_values))
+    elif isinstance(model, RpcaModel):
+        data = "||D||_F"
+        tau = 8.0 * math.sqrt(15.0) * float(np.linalg.norm(model.D, "fro")) / (
             3.0 * model.lam
         )
-    raise ValueError(f"no tau rule for {type(model).__name__}")
+    else:
+        raise ValueError(f"no tau rule for {type(model).__name__}")
+    if tau == 0.0:
+        raise ValueError(f"tau rule gives tau = 0: {data} is zero")
+    return tau

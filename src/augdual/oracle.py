@@ -4,7 +4,9 @@ certificate, and a brute-force prox.
 
 The reference iteration (``step``, ``dual_gradient``, ``dual_objective``)
 writes the method out as the paper states it, on arrays: one adjoint per
-iterate and no carried state. ``solver.solve`` is tested against it.
+iterate and no carried state. ``solver.solve`` is tested against it. The
+dual objective is D(y) = -<y, b> + (tau^2/2) * dist(A*y/tau, K)^2, with K the
+dual-norm ball or polar set of the regularizer.
 
 The exact solver enumerates sign patterns in {-, 0, +}^n in a fixed
 canonical order (support size ascending, then lexicographic), solves the
@@ -46,7 +48,7 @@ class KktReport:
 
 
 def kkt_residual(p: ProblemSpec, x: Point, y: Point) -> KktReport:
-    """feasibility = ||Ax - b||; stationarity = ||x - tau*prox(A*y/mu)||.
+    """feasibility = ||Ax - b||; stationarity = ||x - tau*prox(A*y/tau)||.
 
     The stationarity term is the fixed-point membership test for the dual
     solution set and subsumes the subdifferential inclusion.
@@ -59,23 +61,23 @@ def kkt_residual(p: ProblemSpec, x: Point, y: Point) -> KktReport:
 
 
 def step(p: ProblemSpec, y: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """One primal-dual iteration: x = tau*prox(A*y/mu); y+ = y + h(b - Ax).
+    """One primal-dual iteration: x = tau*prox(A*y/tau); y+ = y + h(b - Ax).
     Returns (y+, x)."""
     x = primal_from_dual(p, y)[0]
     return y + (p.b.data - p.op._apply(x)) * h, x
 
 
 def dual_gradient(p: ProblemSpec, y: np.ndarray) -> np.ndarray:
-    """grad D(y) = -b + A(tau * prox(A*y/mu))."""
+    """grad D(y) = -b + A(tau * prox(A*y/tau))."""
     return p.op._apply(primal_from_dual(p, y)[0]) - p.b.data
 
 
 def dual_objective(p: ProblemSpec, y: np.ndarray) -> float:
-    """D(y) = -<y, b> + (tau*mu/2) * ||A*y/mu - z||^2 with z the projection
-    of A*y/mu onto the dual ball / polar set."""
-    w = p.op._adjoint(y) * (1.0 / p.mu)
+    """D(y) = -<y, b> + (tau^2/2) * ||A*y/tau - z||^2 with z the projection
+    of A*y/tau onto the dual ball / polar set."""
+    w = p.op._adjoint(y) * (1.0 / p.tau)
     gap = (w - p.regularizer.polar_project(w)).ravel()
-    return -float(y.ravel() @ p.b.data.ravel()) + 0.5 * p.tau * p.mu * float(gap @ gap)
+    return -float(y.ravel() @ p.b.data.ravel()) + 0.5 * p.tau * p.tau * float(gap @ gap)
 
 
 def _sign_patterns(n: int):
@@ -86,8 +88,8 @@ def _sign_patterns(n: int):
                 yield support, np.array(signs)
 
 
-def _dual_feasible(A: np.ndarray, support, c: np.ndarray, mu: float) -> bool:
-    """Does some y satisfy A_F^T y = c with |A_i^T y| <= mu off support?
+def _dual_feasible(A: np.ndarray, support, c: np.ndarray) -> bool:
+    """Does some y satisfy A_F^T y = c with |A_i^T y| <= 1 off support?
 
     Tried first with the least-squares y; if that fails, an LP searches the
     whole affine solution set.
@@ -99,7 +101,7 @@ def _dual_feasible(A: np.ndarray, support, c: np.ndarray, mu: float) -> bool:
     y, *_ = np.linalg.lstsq(AF.T, c, rcond=None)
     if np.linalg.norm(AF.T @ y - c) > _SOLVE_RTOL * (1.0 + np.linalg.norm(c)):
         return False
-    if np.max(np.abs(A[:, free].T @ y)) <= mu + _DUAL_SLACK:
+    if np.max(np.abs(A[:, free].T @ y)) <= 1.0 + _DUAL_SLACK:
         return True
     from scipy.optimize import linprog
 
@@ -123,11 +125,11 @@ def _dual_feasible(A: np.ndarray, support, c: np.ndarray, mu: float) -> bool:
         bounds=[(None, None)] * m + [(0.0, None)],
         method="highs",
     )
-    return bool(res.success) and res.x[m] <= mu + _DUAL_SLACK
+    return bool(res.success) and res.x[m] <= 1.0 + _DUAL_SLACK
 
 
-def l1_exact_solve(A, b, tau: float, mu: float = 1.0) -> Point:
-    """Exact minimizer of mu||x||_1 + (mu/2 tau)||x||_2^2 s.t. Ax = b
+def l1_exact_solve(A, b, tau: float) -> Point:
+    """Exact minimizer of ||x||_1 + (1/2 tau)||x||_2^2 s.t. Ax = b
     for n <= 12 by sign-pattern enumeration with KKT verification."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -136,8 +138,8 @@ def l1_exact_solve(A, b, tau: float, mu: float = 1.0) -> Point:
     m, n = A.shape
     if n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUM_DIM}, got n = {n}")
-    if tau <= 0 or mu <= 0:
-        raise ValueError("tau and mu must be positive")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     bnorm = np.linalg.norm(b)
     scale = 1.0 + bnorm
 
@@ -148,21 +150,21 @@ def l1_exact_solve(A, b, tau: float, mu: float = 1.0) -> Point:
                 return Point.vector(np.zeros(n))
             continue
         AF = A[:, list(support)]
-        # Stationarity on the support: (mu/tau) x_F - A_F^T y = -mu*s,
+        # Stationarity on the support: x_F / tau - A_F^T y = -s,
         # feasibility: A_F x_F = b.
         system = np.zeros((f + m, f + m))
-        system[:f, :f] = (mu / tau) * np.eye(f)
+        system[:f, :f] = (1.0 / tau) * np.eye(f)
         system[:f, f:] = -AF.T
         system[f:, :f] = AF
-        rhs = np.concatenate([-mu * signs, b])
+        rhs = np.concatenate([-signs, b])
         sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         if np.linalg.norm(system @ sol - rhs) > _SOLVE_RTOL * scale:
             continue
         xF = sol[:f]
         if np.any(signs * xF <= _SIGN_TOL):
             continue
-        c = mu * signs + (mu / tau) * xF
-        if not _dual_feasible(A, support, c, mu):
+        c = signs + (1.0 / tau) * xF
+        if not _dual_feasible(A, support, c):
             continue
         x = np.zeros(n)
         x[list(support)] = xF

@@ -1,8 +1,8 @@
 """Dual gradient iteration for the augmented recovery models.
 
-The dual objective D(y) = -<y, b> + (tau*mu/2) * dist(A*y/mu, K)^2 is
+The dual objective D(y) = -<y, b> + (tau^2/2) * dist(A*y/tau, K)^2 is
 smooth (K is the dual-norm ball, or the polar set for gauge problems); its
-gradient is -b + A(tau * prox(A*y/mu)). Plain gradient descent on D in
+gradient is -b + A(tau * prox(A*y/tau)). Plain gradient descent on D in
 primal-dual form is the linearized Bregman iteration for the l1 model and
 singular value thresholding for matrix completion. The accelerated variant
 adds Nesterov momentum with adaptive restart; both run in one loop.
@@ -20,7 +20,7 @@ the carried z has the same bits as the adjoint that the reference
 iteration ``oracle.step`` takes of every iterate. Elsewhere it drifts by
 rounding, so before every stop the loop recomputes A*w exactly (and, where
 the bits differ, x and the residual from it): every returned x is
-tau*prox(A*w/mu) of the exact adjoint, and a feasibility stop rests on the
+tau*prox(A*w/tau) of the exact adjoint, and a feasibility stop rests on the
 exact residual.
 """
 
@@ -52,20 +52,18 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """One augmented model instance (operator, data, regularizer, tau, mu).
+    """One augmented model instance min J(x) + (1/2 tau)||x||^2 s.t. Ax = b
+    (operator, data, regularizer J, tau).
 
     The regularizer is any object exposing prox(v, scale) and
     polar_project(v) on arrays shaped like the operator's domain: a
-    NormSpec, a gauge, or the RPCA block regularizer. Gauge problems
-    (``fixes_mu``) fix mu = tau, which makes the gauge iteration and the
-    norm iteration share one code path.
+    NormSpec, a gauge, or the RPCA block regularizer.
     """
 
     op: LinearOperator
     b: Point
     regularizer: object
     tau: float
-    mu: float
 
     def __post_init__(self):
         if self.b.data.shape != self.op.codomain_shape:
@@ -76,17 +74,13 @@ class ProblemSpec:
             raise ValueError("||b|| overflows to inf; rescale the data")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ValueError("mu must be finite and positive")
-        if getattr(self.regularizer, "fixes_mu", False) and self.mu != self.tau:
-            raise ValueError("gauge problems fix mu = tau")
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Step size, budget, tolerance, starting point and variant of one solve.
 
-    ``h = None`` picks mu / (tau * bound^2) with bound the inflated Lanczos
+    ``h = None`` picks 1 / bound^2 with bound the inflated Lanczos
     estimate of ||A|| (``estimated_bound``); ``validate_config`` checks a
     given h. ``y0`` warm-starts the dual iterate (zero when None).
     ``accelerated`` adds Nesterov momentum with adaptive restart.
@@ -182,15 +176,15 @@ def regularizer_prox(reg, v: np.ndarray, scale: float) -> np.ndarray:
 
 
 def primal_from_dual(p: ProblemSpec, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """x = tau*prox(A*y/mu), and w = A*y/mu itself, on arrays."""
+    """x = tau*prox(A*y/tau), and w = A*y/tau itself, on arrays."""
     if y.shape != p.op.codomain_shape:
         raise ValueError(f"codomain mismatch: {y.shape} vs {p.op.codomain_shape}")
     return _primal(p, p.op._adjoint(y))
 
 
 def _primal(p: ProblemSpec, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # x = tau*prox(z/mu) and z/mu, for z = A*y.
-    w = z * (1.0 / p.mu)
+    # x = tau*prox(z/tau) and z/tau, for z = A*y.
+    w = z * (1.0 / p.tau)
     return p.tau * regularizer_prox(p.regularizer, w, 1.0), w
 
 
@@ -198,30 +192,30 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(u.ravel() @ v.ravel())
 
 
-def step_size_bound(p: ProblemSpec, norm_bound: float) -> float:
+def step_size_bound(norm_bound: float) -> float:
     """Upper end of the admissible open step interval for a given bound on
     ||A||."""
-    return 2.0 * p.mu / (p.tau * norm_bound**2)
+    return 2.0 / norm_bound**2
 
 
-def default_step_size(p: ProblemSpec, norm_bound: float) -> float:
+def default_step_size(norm_bound: float) -> float:
     """Midpoint-safe 1/L choice: half the open-interval bound."""
-    return p.mu / (p.tau * norm_bound**2)
+    return 1.0 / norm_bound**2
 
 
-def validate_config(p: ProblemSpec, c: SolveConfig, norm_bound: float) -> float:
+def validate_config(c: SolveConfig, norm_bound: float) -> float:
     """The step h a solve with bound norm_bound on ||A|| uses.
 
-    A given c.h must lie in the open interval (0, 2mu/(tau*bound^2)), and
-    for an accelerated solve at most the 1/L step mu/(tau*bound^2), which
-    is the step taken when c.h is None.
+    A given c.h must lie in the open interval (0, 2/bound^2), and for an
+    accelerated solve at most the 1/L step 1/bound^2, which is the step
+    taken when c.h is None. Neither depends on tau.
     """
     if not (math.isfinite(norm_bound) and norm_bound > 0):
         raise ConfigurationError(f"norm_bound must be finite and positive, got {norm_bound!r}")
-    cap = default_step_size(p, norm_bound)
+    cap = default_step_size(norm_bound)
     if c.h is None:
         return float(cap)
-    upper = step_size_bound(p, norm_bound)
+    upper = step_size_bound(norm_bound)
     if not (0.0 < c.h < upper):
         raise ConfigurationError(
             f"step size h={c.h!r} outside the admissible open interval "
@@ -252,7 +246,7 @@ def _norm(v: np.ndarray) -> float:
 def _trace_objective(p: ProblemSpec, y: np.ndarray, x: np.ndarray) -> float:
     # D(y) via the Moreau identity ||w - z|| = ||x|| / tau; avoids a second
     # projection (and a second SVD) per iteration.
-    return -_dot(y, p.b.data) + 0.5 * (p.mu / p.tau) * _dot(x, x)
+    return -_dot(y, p.b.data) + 0.5 * _dot(x, x)
 
 
 def _stalled(residuals: "deque[float]", adjoints: "deque[np.ndarray]") -> bool:
@@ -285,7 +279,7 @@ def solve(
     on ||A|| that ``validate_config`` turns into the step h.
 
     Returns the last consistent primal-dual pair (x, y) with
-    x = tau*prox(A*y/mu), and the per-iteration trace, which records
+    x = tau*prox(A*y/tau), and the per-iteration trace, which records
     norm_bound and h. Termination is
     feasibility_tol, suspected_infeasible, max_iter, or numerical_failure
     (the residual, x change or y change is not finite; the returned pair is
@@ -293,7 +287,7 @@ def solve(
     """
     if norm_bound is None:
         norm_bound = estimated_bound(p)
-    h = validate_config(p, c, norm_bound)
+    h = validate_config(c, norm_bound)
 
     op = p.op
     b = p.b.data
@@ -305,7 +299,7 @@ def solve(
     atb = op._adjoint(b)
 
     def evaluate(z):
-        # From z = A*w: x = tau*prox(z/mu), z/mu, the residual b - Ax, and A*Ax.
+        # From z = A*w: x = tau*prox(z/tau), z/tau, the residual b - Ax, and A*Ax.
         x, wadj = _primal(p, z)
         ax, atax = op._apply_normal(x)
         return x, wadj, b - ax, atax

@@ -174,7 +174,7 @@ def test_criterion_2_gradient_correctness():
     g = PolyhedralPolar(verts)
     gop = Dense(rng.standard_normal((3, 4)))
     problems["polyhedral_gauge"] = ProblemSpec(
-        gop, Point.vector(rng.standard_normal(3)), g, tau=4.0, mu=4.0
+        gop, Point.vector(rng.standard_normal(3)), g, tau=4.0
     )
 
     worst = {
@@ -191,7 +191,7 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_fejer_monotonicity(ref_problem):
     start = time.perf_counter()
     p, bound = ref_problem
-    h = default_step_size(p, bound)
+    h = default_step_size(bound)
     k_short = 2000
 
     def iterate(n_steps):
@@ -238,11 +238,11 @@ def test_criterion_4_oracle_match():
 
 def test_criterion_5_step_size_gate(ref_problem):
     p, bound = ref_problem
-    upper = step_size_bound(p, bound)
+    upper = step_size_bound(bound)
     rejected = True
     for h in (upper, 1.3 * upper):
         try:
-            validate_config(p, SolveConfig(h=h), bound)
+            validate_config(SolveConfig(h=h), bound)
             rejected = False
         except ConfigurationError:
             pass
@@ -272,7 +272,7 @@ def test_criterion_6_svt_reproduction():
     tau = tau_heuristic(model)
     p = build_problem(replace(model, tau=tau))
     bound = estimated_bound(p)
-    h = default_step_size(p, bound)
+    h = default_step_size(bound)
 
     # hand-coded SVT recursion on the compact sample vector
     rows, cols = model.mask.indices.T
@@ -282,7 +282,7 @@ def test_criterion_6_svt_reproduction():
     stepwise = 0.0
     for _ in range(100):
         lifted = np.zeros(model.mask.shape)
-        lifted[rows, cols] = y / tau  # A*y / mu with mu = tau
+        lifted[rows, cols] = y / tau  # A*y / tau
         x_mat = tau * svt(lifted, 1.0)
         y = y + h * (b - x_mat[rows, cols])
         y_step, x_step = step(p, y_step, h)
@@ -339,7 +339,7 @@ def test_criterion_7_rpca():
 
 def test_criterion_8_gauge_path_consistency(ref_problem):
     p, bound = ref_problem
-    h = default_step_size(p, bound)
+    h = default_step_size(bound)
     worst = 0.0
 
     def run_pair(p_norm, p_gauge, hh):
@@ -351,20 +351,18 @@ def test_criterion_8_gauge_path_consistency(ref_problem):
             worst = max(worst, float(np.linalg.norm(xn - xg)),
                         float(np.linalg.norm(yn - yg)))
 
-    # vector norms on the shared reference instance with mu = tau
+    # vector norms on the shared reference instance
     for kind in ("l1", "l2", "linf"):
-        p_norm = ProblemSpec(p.op, p.b, NormSpec(kind), tau=p.tau, mu=p.tau)
-        p_gauge = ProblemSpec(
-            p.op, p.b, NormGauge(NormSpec(kind)), tau=p.tau, mu=p.tau
-        )
+        p_norm = ProblemSpec(p.op, p.b, NormSpec(kind), tau=p.tau)
+        p_gauge = ProblemSpec(p.op, p.b, NormGauge(NormSpec(kind)), tau=p.tau)
         run_pair(p_norm, p_gauge, h)
 
     # the nuclear norm needs matrix-shaped points: same data, same map,
     # with the 50-vector viewed as a 10x5 matrix
     mat_op = _MatrixDense(p.op.matrix, (10, 5))
-    pn = ProblemSpec(mat_op, p.b, NormSpec("nuclear"), tau=p.tau, mu=p.tau)
-    pg = ProblemSpec(mat_op, p.b, NormGauge(NormSpec("nuclear")), tau=p.tau, mu=p.tau)
-    run_pair(pn, pg, default_step_size(pn, bound))
+    pn = ProblemSpec(mat_op, p.b, NormSpec("nuclear"), tau=p.tau)
+    pg = ProblemSpec(mat_op, p.b, NormGauge(NormSpec("nuclear")), tau=p.tau)
+    run_pair(pn, pg, default_step_size(bound))
 
     ok = worst <= 1e-12
     _report(8, ok, f"max iterate gap {worst:.2e} <= 1e-12 over 100 iterations")

@@ -165,7 +165,7 @@ def test_run_experiment_end_to_end(tmp_path, capsys, monkeypatch):
     model, _ = generate_instance(InstanceSpec.from_dict(L1_SPEC))
     problem = build_problem(dataclasses.replace(model, tau=report["tau"]))
     assert report["norm_bound"] == estimated_bound(problem)
-    assert report["h"] == default_step_size(problem, report["norm_bound"])
+    assert report["h"] == default_step_size(report["norm_bound"])
     [solved] = traces
     assert (report["norm_bound"], report["h"]) == (solved.norm_bound, solved.h)
 
@@ -290,6 +290,22 @@ def test_main_rejects_a_non_integer_stored_shape(tmp_path, capsys):
         assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert main(check) == EXIT_CONFIG
         assert capsys.readouterr().err.count("sampling shape") == 2
+
+
+def test_main_rejects_a_non_finite_stored_sample(tmp_path, capsys):
+    spec, tau = GEN_SOLVE_CHECK["matrix_completion"]
+    spec_path = tmp_path / "spec.json"
+    _write_json(spec_path, spec)
+    inst = tmp_path / "inst"
+    assert main(["gen", "--spec", str(spec_path), "--out", str(inst)]) == EXIT_OK
+    values = (inst / "b.csv").read_text().split(",")
+    (inst / "b.csv").write_text(",".join(["nan"] + values[1:]))
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, {"instance_path": "inst/instance.json", "tau": tau})
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "sampled_values" in err
 
 
 def test_main_config_exit_code(tmp_path):

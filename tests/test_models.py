@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from augdual.cli import InstanceSpec, generate_instance
-from augdual.linop import BlockSum, Dense, Point, SamplingMask
+from augdual.linop import BlockSum, Dense, SamplingMask
 from augdual.models import (
     AugL1Model,
-    AugNuclearModel,
-    GaugeModel,
     MatrixCompletionModel,
     RpcaModel,
     RpcaRegularizer,
     build_problem,
     tau_heuristic,
 )
-from augdual.gauge import NormGauge
 from augdual import numerics
 from augdual.numerics import svd
 from augdual.prox import NormSpec, prox_norm, soft_threshold, svt
@@ -65,23 +62,43 @@ def test_rpca_model_rejects_a_lam_that_is_not_finite_and_positive(lam):
         RpcaModel(np.eye(2), lam=lam)
 
 
-def test_tau_rule_aug_nuclear():
-    model = AugNuclearModel(Dense(np.eye(2)), Point.vector([1.0, 0.0]))
-    assert tau_heuristic(model, magnitude=1.5) == pytest.approx(15.0)
-
-
 def test_build_aug_l1():
     p = build_problem(AugL1Model(np.eye(3), np.ones(3), tau=5.0))
     assert isinstance(p.op, Dense)
     assert p.regularizer.kind == "l1"
-    assert p.mu == p.tau == 5.0
+    assert p.tau == 5.0
 
 
 def test_build_requires_tau():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no tau"):
         build_problem(AugL1Model(np.eye(3), np.ones(3)))
-    with pytest.raises(ValueError):
-        build_problem(AugL1Model(np.eye(3), np.ones(3), tau=-1.0))
+    # ProblemSpec is the one check that tau is finite and positive.
+    for tau in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            build_problem(AugL1Model(np.eye(3), np.ones(3), tau=tau))
+
+
+def test_tau_rule_names_all_zero_data():
+    mask = SamplingMask((2, 2), ((0, 0), (1, 1)))
+    cases = [
+        (AugL1Model(np.eye(2), np.zeros(2)), 0.0, "magnitude of x0"),
+        (MatrixCompletionModel(mask, [0.0, 0.0]), None, "sampled_values"),
+        (RpcaModel(np.zeros((3, 2)), lam=0.5), None, "D"),
+    ]
+    for model, magnitude, data in cases:
+        with pytest.raises(ValueError, match=f"tau = 0: .*{data}.* is zero"):
+            tau_heuristic(model, magnitude=magnitude)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_models_reject_non_finite_data(bad):
+    mask = SamplingMask((2, 2), ((0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="sampled_values must be finite"):
+        MatrixCompletionModel(mask, [bad, 1.0])
+    d = np.eye(2)
+    d[1, 0] = bad
+    with pytest.raises(ValueError, match="D must be finite"):
+        RpcaModel(d, lam=0.5)
 
 
 def test_build_matrix_completion():
@@ -113,13 +130,10 @@ def test_build_matrix_completion_reuses_the_checked_mask(monkeypatch):
     assert p.op is model.mask
 
 
-def test_build_rpca_and_gauge():
+def test_build_rpca():
     p = build_problem(RpcaModel(np.eye(2), lam=0.5, tau=3.0))
     assert isinstance(p.op, BlockSum)
     assert isinstance(p.regularizer, RpcaRegularizer)
-    g = GaugeModel(NormGauge(NormSpec("l2")), Dense(np.eye(2)), Point.vector([1.0, 0.0]), tau=2.0)
-    pg = build_problem(g)
-    assert pg.mu == pg.tau == 2.0
 
 
 def test_rpca_regularizer_prox_blocks():

@@ -154,7 +154,7 @@ def test_lanczos_rank_one_and_repeated_top_value():
 def test_lanczos_zero_operator_is_a_configuration_error():
     op = Dense(np.zeros((3, 4)))
     assert lanczos_norm(op, 1e-12, 5000, 0) == (0.0, True, 1)
-    p = ProblemSpec(op, Point.vector(np.zeros(3)), NormSpec("l1"), 1.0, 1.0)
+    p = ProblemSpec(op, Point.vector(np.zeros(3)), NormSpec("l1"), 1.0)
     with pytest.raises(ConfigurationError):
         solve(p, SolveConfig())
 

@@ -44,15 +44,6 @@ def test_exact_solver_matches_iterative_on_random_instances():
         assert (exact - xs).norm() <= 1e-6 * (1.0 + exact.norm())
 
 
-def test_exact_solver_mu_invariance():
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((3, 5))
-    b = a @ np.array([1.0, 0.0, 0.0, -0.5, 0.0])
-    xa = l1_exact_solve(a, b, 8.0, mu=1.0)
-    xb = l1_exact_solve(a, b, 8.0, mu=3.0)
-    assert (xa - xb).norm() <= 1e-9
-
-
 def test_exact_solver_rejects_large_n():
     with pytest.raises(ValueError):
         l1_exact_solve(np.zeros((2, 13)), np.zeros(2), 1.0)

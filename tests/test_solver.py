@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from augdual.cli import InstanceSpec, generate_instance
-from augdual.gauge import NormGauge
 from augdual.linop import SPARSE_APPLY_FRACTION, Dense, LinearOperator, Point
 from augdual.models import build_problem, tau_heuristic
 from augdual.oracle import dual_gradient, dual_objective, step
-from augdual.prox import NormSpec
+from augdual.prox import NormSpec, soft_threshold
 from augdual.solver import (
     ConfigurationError,
     ProblemSpec,
@@ -26,7 +25,7 @@ from augdual.solver import (
 )
 
 
-def _l1_problem(seed=7, n=8, m=4, k=2, mu=1.0):
+def _l1_problem(seed=7, n=8, m=4, k=2):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n)) / np.sqrt(m)
     x0 = np.zeros(n)
@@ -34,13 +33,13 @@ def _l1_problem(seed=7, n=8, m=4, k=2, mu=1.0):
     x0[support] = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 1.0, size=k)
     b = a @ x0
     tau = 10.0 * float(np.max(np.abs(x0)))
-    return ProblemSpec(Dense(a), Point.vector(b), NormSpec("l1"), tau, mu), x0
+    return ProblemSpec(Dense(a), Point.vector(b), NormSpec("l1"), tau), x0
 
 
 def test_hand_iteration_scalar():
-    # A = I (1x1), b = (5), tau = mu = 1, h = 1:
+    # A = I (1x1), b = (5), tau = 1, h = 1:
     # x1 = 0, y1 = 5; x2 = shrink(5) = 4, y2 = 6
-    p = ProblemSpec(Dense(np.eye(1)), Point.vector([5.0]), NormSpec("l1"), 1.0, 1.0)
+    p = ProblemSpec(Dense(np.eye(1)), Point.vector([5.0]), NormSpec("l1"), 1.0)
     y1, x1 = step(p, np.zeros(1), 1.0)
     assert x1[0] == 0.0
     assert y1[0] == 5.0
@@ -50,28 +49,26 @@ def test_hand_iteration_scalar():
 
 
 def test_step_size_interval():
-    p, _ = _l1_problem()
-    bound = step_size_bound(p, 2.0)
-    assert bound == pytest.approx(2.0 * p.mu / (p.tau * 4.0))
-    assert validate_config(p, SolveConfig(h=0.5 * bound), 2.0) == 0.5 * bound
+    bound = step_size_bound(2.0)
+    assert bound == pytest.approx(2.0 / 4.0)
+    assert validate_config(SolveConfig(h=0.5 * bound), 2.0) == 0.5 * bound
     for bad in (0.0, -1.0, bound, 1.5 * bound):
         with pytest.raises(ConfigurationError):
-            validate_config(p, SolveConfig(h=bad), 2.0)
+            validate_config(SolveConfig(h=bad), 2.0)
 
 
 def test_accelerated_step_cap():
-    p, _ = _l1_problem()
-    cap = default_step_size(p, 2.0)
-    validate_config(p, SolveConfig(h=cap, accelerated=True), 2.0)
+    cap = default_step_size(2.0)
+    validate_config(SolveConfig(h=cap, accelerated=True), 2.0)
     with pytest.raises(ConfigurationError):
-        validate_config(p, SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
+        validate_config(SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
 
 
 @pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0])
 def test_norm_bound_must_be_finite_and_positive(bound):
     p, _ = _l1_problem()
     with pytest.raises(ConfigurationError, match="norm_bound"):
-        validate_config(p, SolveConfig(), bound)
+        validate_config(SolveConfig(), bound)
     with pytest.raises(ConfigurationError, match="norm_bound"):
         solve(p, SolveConfig(), norm_bound=bound)
 
@@ -110,14 +107,6 @@ def test_dual_objective_monotone_descent():
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_mu_is_redundant_to_the_solution():
-    pa, _ = _l1_problem(mu=1.0)
-    pb, _ = _l1_problem(mu=7.0)
-    xa, _, _ = solve(pa, SolveConfig(primal_tol=1e-12))
-    xb, _, _ = solve(pb, SolveConfig(primal_tol=1e-12))
-    assert (xa - xb).norm() <= 1e-8 * (1 + xa.norm())
-
-
 def test_accelerated_matches_plain_limit():
     p, _ = _l1_problem()
     x_plain, _, tr_plain = solve(p, SolveConfig(primal_tol=1e-10))
@@ -141,8 +130,8 @@ def test_trace_records_bound_and_step():
     p, _ = _l1_problem()
     _, _, trace = solve(p, SolveConfig(primal_tol=1e-10))
     assert trace.norm_bound == estimated_bound(p)
-    assert trace.h == default_step_size(p, trace.norm_bound)
-    h = 0.5 * default_step_size(p, 2.0)
+    assert trace.h == default_step_size(trace.norm_bound)
+    h = 0.5 * default_step_size(2.0)
     for accelerated in (False, True):
         _, _, trace = solve(p, SolveConfig(h=h, max_iter=5, accelerated=accelerated),
                             norm_bound=2.0)
@@ -151,22 +140,14 @@ def test_trace_records_bound_and_step():
 
 def test_inconsistent_system_flags_suspected_infeasible():
     a = np.array([[1.0], [1.0]])
-    p = ProblemSpec(Dense(a), Point.vector([1.0, 2.0]), NormSpec("l1"), 5.0, 1.0)
+    p = ProblemSpec(Dense(a), Point.vector([1.0, 2.0]), NormSpec("l1"), 5.0)
     x, y, trace = solve(p, SolveConfig(max_iter=50_000, primal_tol=1e-10))
     assert trace.termination == "suspected_infeasible"
     assert len(trace.records) < 50_000
 
 
-def test_gauge_problems_require_mu_equal_tau():
-    a = np.eye(2)
-    g = NormGauge(NormSpec("l1"))
-    with pytest.raises(ValueError):
-        ProblemSpec(Dense(a), Point.vector([1.0, 1.0]), g, 2.0, 1.0)
-    ProblemSpec(Dense(a), Point.vector([1.0, 1.0]), g, 2.0, 2.0)
-
-
 def test_zero_rhs_terminates_immediately():
-    p = ProblemSpec(Dense(np.eye(3)), Point.vector(np.zeros(3)), NormSpec("l1"), 1.0, 1.0)
+    p = ProblemSpec(Dense(np.eye(3)), Point.vector(np.zeros(3)), NormSpec("l1"), 1.0)
     x, y, trace = solve(p, SolveConfig())
     assert trace.termination == "feasibility_tol"
     assert len(trace.records) == 1
@@ -216,7 +197,7 @@ def test_non_finite_forward_map_ends_in_numerical_failure(accelerated):
 
 def test_overflowing_rhs_is_rejected():
     with pytest.raises(ValueError, match="rescale"):
-        ProblemSpec(Dense(np.eye(1)), Point.vector([1e300]), NormSpec("l1"), 1.0, 1.0)
+        ProblemSpec(Dense(np.eye(1)), Point.vector([1e300]), NormSpec("l1"), 1.0)
 
 
 def test_trace_records_are_a_read_only_view():
@@ -296,6 +277,28 @@ def test_solve_builds_a_fixed_number_of_points(spec, accelerated, monkeypatch):
     assert built == 2
 
 
+class _DuckL1:
+    # A regularizer is any object with prox(v, scale) and polar_project(v).
+    def prox(self, v, scale):
+        return soft_threshold(v, scale)
+
+    def polar_project(self, v):
+        return np.clip(v, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("accelerated", [False, True], ids=["plain", "accelerated"])
+def test_duck_typed_regularizer_matches_the_catalog_l1(accelerated):
+    p = _small_problem(_SMALL_SPECS[0])
+    duck = ProblemSpec(p.op, p.b, _DuckL1(), p.tau)
+    config = SolveConfig(primal_tol=1e-8, accelerated=accelerated)
+    x, y, trace = solve(p, config)
+    x_duck, y_duck, trace_duck = solve(duck, config)
+    assert trace.termination == trace_duck.termination == "feasibility_tol"
+    assert x_duck.data.tobytes() == x.data.tobytes()
+    assert y_duck.data.tobytes() == y.data.tobytes()
+    assert list(trace_duck.records) == list(trace.records)
+
+
 def test_solve_path_imports_no_scipy():
     # numpy alone carries generate -> tau -> build -> solve; scipy would add
     # tens of MB to every solving process. A fresh interpreter shows what the
@@ -333,7 +336,7 @@ def test_carried_adjoint_keeps_the_textbook_iterates(spec):
     x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14),
                         norm_bound=bound)
     assert trace.termination == "max_iter"
-    h = default_step_size(p, bound)
+    h = default_step_size(bound)
     y_ref = np.zeros(p.op.codomain_shape)
     for _ in range(iterations):
         y_ref, _ = step(p, y_ref, h)
@@ -351,7 +354,7 @@ def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
     x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14,
                                        accelerated=True), norm_bound=bound)
     assert trace.termination == "max_iter"
-    h = default_step_size(p, bound)
+    h = default_step_size(bound)
     y_ref = w = np.zeros(p.op.codomain_shape)
     t = 1.0
     restarts = 0
