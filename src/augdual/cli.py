@@ -12,9 +12,10 @@ Subcommands:
 
 Randomness comes from numpy's default PCG64 generator seeded per instance,
 so instances are reproducible bit for bit. Exit codes: 0 success, 2
-configuration error, 3 suspected infeasible, 4 max_iter without tolerance,
-5 numerical failure (an SVD that does not converge, or a non-finite
-iterate or residual).
+configuration error (including a file that cannot be read or written), 3
+suspected infeasible (the residual certifies b outside the range of the
+operator), 4 max_iter without tolerance, 5 numerical failure (an SVD that
+does not converge, or a non-finite iterate or residual).
 """
 
 from __future__ import annotations
@@ -151,6 +152,13 @@ def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
     return RpcaModel(D=D, lam=spec.lam), Point.pair(L0, S0)
 
 
+def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _save_csv(path: Path, arr: np.ndarray):
     np.savetxt(path, np.atleast_2d(arr), fmt=_FLOAT_FMT, delimiter=",")
 
@@ -184,9 +192,7 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
         _save_csv(out / "L0.csv", truth.data[0])
         _save_csv(out / "S0.csv", truth.data[1])
     path = out / "instance.json"
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, meta)
     return path
 
 
@@ -222,16 +228,13 @@ def emit_trace(trace: SolveTrace, path):
     """Trace CSV: header plus one row per iteration, 17-digit scientific."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(path, "w") as fh:
-            fh.write("k,primal_residual,dual_objective,x_change,y_change\n")
-            for rec in trace.records:
-                fh.write(
-                    f"{rec.k},{rec.primal_residual:.16e},{rec.dual_objective:.16e},"
-                    f"{rec.x_change:.16e},{rec.y_change:.16e}\n"
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write("k,primal_residual,dual_objective,x_change,y_change\n")
+        for rec in trace.records:
+            fh.write(
+                f"{rec.k},{rec.primal_residual:.16e},{rec.dual_objective:.16e},"
+                f"{rec.x_change:.16e},{rec.y_change:.16e}\n"
+            )
 
 
 def read_trace(path) -> SolveTrace:
@@ -332,28 +335,15 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     if "trace" in out_cfg:
         emit_trace(trace, base / out_cfg["trace"])
     if "report" in out_cfg:
-        rpath = base / out_cfg["report"]
-        rpath.parent.mkdir(parents=True, exist_ok=True)
-        with open(rpath, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(base / out_cfg["report"], report)
     if "solution" in out_cfg:
-        spath = base / out_cfg["solution"]
-        spath.parent.mkdir(parents=True, exist_ok=True)
-        with open(spath, "w") as fh:
-            json.dump(
-                {
-                    "tau": problem.tau,
-                    # Kept in the file format: the dual scale is tau.
-                    "mu": problem.tau,
-                    "x": x.data.ravel().tolist(),
-                    "y": y.data.ravel().tolist(),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(base / out_cfg["solution"], {
+            "tau": problem.tau,
+            # Kept in the file format: the dual scale is tau.
+            "mu": problem.tau,
+            "x": x.data.ravel().tolist(),
+            "y": y.data.ravel().tolist(),
+        })
     print(f"solved in {len(trace.records)} iterations ({wall_ms:.1f} ms), "
           f"termination={trace.termination}")
     if trace.termination == "suspected_infeasible":
@@ -427,7 +417,8 @@ def main(argv=None) -> int:
         # is not reported as a configuration error.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (ConfigurationError, ValueError, OSError, KeyError) as exc:
+        # An OSError (unreadable input, unwritable output) names its path.
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -32,6 +32,10 @@ class AugL1Model:
     b: np.ndarray
     tau: Optional[float] = None
 
+    def __post_init__(self):
+        # b is kept as a flat float array; Dense checks A when the problem is built.
+        object.__setattr__(self, "b", _finite("b", self.b).ravel())
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixCompletionModel:
@@ -48,11 +52,9 @@ class MatrixCompletionModel:
     def __post_init__(self):
         if not isinstance(self.mask, SamplingMask):
             raise TypeError("mask must be a SamplingMask")
-        vals = np.asarray(self.sampled_values, dtype=float).ravel()
+        vals = _finite("sampled_values", self.sampled_values).ravel()
         if vals.size != len(self.mask.indices):
             raise ValueError("sampled values must match omega")
-        if not np.isfinite(vals).all():
-            raise ValueError("sampled_values must be finite")
         object.__setattr__(self, "sampled_values", vals)
 
 
@@ -68,10 +70,14 @@ class RpcaModel:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
-        d = np.asarray(self.D, dtype=float)
-        if not np.isfinite(d).all():
-            raise ValueError("D must be finite")
-        object.__setattr__(self, "D", d)
+        object.__setattr__(self, "D", _finite("D", self.D))
+
+
+def _finite(name: str, values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,20 +56,20 @@ def kkt_residual(p: ProblemSpec, x: Point, y: Point) -> KktReport:
     if x.data.shape != p.op.domain_shape:
         raise ValueError(f"domain mismatch: {x.data.shape} vs {p.op.domain_shape}")
     feas = float(np.linalg.norm(p.op._apply(x.data) - p.b.data))
-    stat = float(np.linalg.norm(x.data - primal_from_dual(p, y.data)[0]))
+    stat = float(np.linalg.norm(x.data - primal_from_dual(p, y.data)))
     return KktReport(feasibility=feas, stationarity=stat)
 
 
 def step(p: ProblemSpec, y: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """One primal-dual iteration: x = tau*prox(A*y/tau); y+ = y + h(b - Ax).
     Returns (y+, x)."""
-    x = primal_from_dual(p, y)[0]
+    x = primal_from_dual(p, y)
     return y + (p.b.data - p.op._apply(x)) * h, x
 
 
 def dual_gradient(p: ProblemSpec, y: np.ndarray) -> np.ndarray:
     """grad D(y) = -b + A(tau * prox(A*y/tau))."""
-    return p.op._apply(primal_from_dual(p, y)[0]) - p.b.data
+    return p.op._apply(primal_from_dual(p, y)) - p.b.data
 
 
 def dual_objective(p: ProblemSpec, y: np.ndarray) -> float:

@@ -5,7 +5,10 @@ smooth (K is the dual-norm ball, or the polar set for gauge problems); its
 gradient is -b + A(tau * prox(A*y/tau)). Plain gradient descent on D in
 primal-dual form is the linearized Bregman iteration for the l1 model and
 singular value thresholding for matrix completion. The accelerated variant
-adds Nesterov momentum with adaptive restart; both run in one loop.
+adds Nesterov momentum with adaptive restart; both run in one loop. When b
+is outside the range of A, D is unbounded below and the residual r of the
+step y+ - w = h*r tends to a Farkas certificate, A*r -> 0 with <b, r> > 0;
+the loop stops on it (``suspected_infeasible``).
 
 The step y+ = w + h(b - Ax) is linear in the dual variable, so the loop
 carries z = A*y alongside y: A*y+ = A*w + h(A*b - A*Ax), with A*b computed
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
@@ -39,11 +41,10 @@ import numpy as np
 from . import numerics
 from .linop import LinearOperator, Point
 
-# Stagnation window for suspected-infeasible detection: the feasibility
-# residual must move by less than this relative amount over the window
-# while still above tolerance.
-_STALL_WINDOW = 100
-_STALL_RTOL = 1e-12
+# Relative size of A*r, against ||A||*||r||, below which the residual r
+# certifies b outside range(A). About sqrt(u), u the double-precision unit
+# roundoff: on consistent data the ratio stays far above it.
+_FARKAS_RTOL = 1e-8
 
 
 class ConfigurationError(ValueError):
@@ -175,17 +176,16 @@ def regularizer_prox(reg, v: np.ndarray, scale: float) -> np.ndarray:
     return reg.prox(v, scale)
 
 
-def primal_from_dual(p: ProblemSpec, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """x = tau*prox(A*y/tau), and w = A*y/tau itself, on arrays."""
+def primal_from_dual(p: ProblemSpec, y: np.ndarray) -> np.ndarray:
+    """x = tau*prox(A*y/tau), on arrays."""
     if y.shape != p.op.codomain_shape:
         raise ValueError(f"codomain mismatch: {y.shape} vs {p.op.codomain_shape}")
     return _primal(p, p.op._adjoint(y))
 
 
-def _primal(p: ProblemSpec, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # x = tau*prox(z/tau) and z/tau, for z = A*y.
-    w = z * (1.0 / p.tau)
-    return p.tau * regularizer_prox(p.regularizer, w, 1.0), w
+def _primal(p: ProblemSpec, z: np.ndarray) -> np.ndarray:
+    # x = tau*prox(z/tau), for z = A*y.
+    return p.tau * regularizer_prox(p.regularizer, z * (1.0 / p.tau), 1.0)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -249,27 +249,11 @@ def _trace_objective(p: ProblemSpec, y: np.ndarray, x: np.ndarray) -> float:
     return -_dot(y, p.b.data) + 0.5 * _dot(x, x)
 
 
-def _stalled(residuals: "deque[float]", adjoints: "deque[np.ndarray]") -> bool:
-    # Inconsistent data makes both the residual norm and A*y settle (y keeps
-    # growing along a direction in the null space of A*). The residual alone
-    # is not enough: it is exactly constant while the prox output sits at
-    # zero on feasible problems too, but A*y still moves there.
-    if len(residuals) <= _STALL_WINDOW:
-        return False
-    new = residuals[-1]
-    old = residuals[0]
-    if abs(old - new) > _STALL_RTOL * max(new, 1e-300):
-        return False
-    w_new = adjoints[-1]
-    w_old = adjoints[0]
-    return _norm(w_new - w_old) <= _STALL_RTOL * (1.0 + _norm(w_new))
-
-
 def solve(
     p: ProblemSpec, c: SolveConfig, norm_bound: Optional[float] = None
 ) -> Tuple[Point, Point, SolveTrace]:
-    """Dual gradient descent until primal feasibility, stall, a non-finite
-    iterate, or budget.
+    """Dual gradient descent until primal feasibility, an infeasibility
+    certificate, a non-finite iterate, or budget.
 
     Each iteration takes a gradient step from w. Plain descent has w = y.
     With ``c.accelerated``, w extrapolates the last two iterates (Nesterov
@@ -280,10 +264,11 @@ def solve(
 
     Returns the last consistent primal-dual pair (x, y) with
     x = tau*prox(A*y/tau), and the per-iteration trace, which records
-    norm_bound and h. Termination is
-    feasibility_tol, suspected_infeasible, max_iter, or numerical_failure
-    (the residual, x change or y change is not finite; the returned pair is
-    the finite one that produced it).
+    norm_bound and h. Termination is feasibility_tol, suspected_infeasible
+    (||A*r|| <= 1e-8 * norm_bound * ||r|| and <b, r> > 0: r certifies b
+    outside range(A)), max_iter, or numerical_failure (the residual, x
+    change or y change is not finite; the returned pair is the finite one
+    that produced it).
     """
     if norm_bound is None:
         norm_bound = estimated_bound(p)
@@ -299,10 +284,10 @@ def solve(
     atb = op._adjoint(b)
 
     def evaluate(z):
-        # From z = A*w: x = tau*prox(z/tau), z/tau, the residual b - Ax, and A*Ax.
-        x, wadj = _primal(p, z)
+        # From z = A*w: x = tau*prox(z/tau), the residual b - Ax, and A*Ax.
+        x = _primal(p, z)
         ax, atax = op._apply_normal(x)
-        return x, wadj, b - ax, atax
+        return x, b - ax, atax
 
     t = 1.0
     x_prev: Optional[np.ndarray] = None
@@ -310,24 +295,20 @@ def solve(
     trace = SolveTrace()
     trace.norm_bound = norm_bound
     trace.h = h
-    residuals: deque = deque(maxlen=_STALL_WINDOW + 1)
-    adjoints: deque = deque(maxlen=_STALL_WINDOW + 1)
     # A diverging solve overflows in norms and products before the
     # finiteness check below ends it; the termination reports that, so
     # numpy's overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, c.max_iter + 1):
-            x, wadj, r, atax = evaluate(z_w)  # r = -grad D(w)
+            x, r, atax = evaluate(z_w)  # r = -grad D(w)
             rnorm = _norm(r)
             if rnorm <= tol:
                 # z_w drifts from A*w by rounding: stop on the exact residual.
                 z = op._adjoint(w)
                 if not np.array_equal(z, z_w):
                     z_w = z
-                    x, wadj, r, atax = evaluate(z_w)
+                    x, r, atax = evaluate(z_w)
                     rnorm = _norm(r)
-            residuals.append(rnorm)
-            adjoints.append(wadj)
             x_change = _norm(x - x_prev) if x_prev is not None else _norm(x)
             feasible = rnorm <= tol
             y_next = w if feasible else w + r * h
@@ -345,10 +326,11 @@ def solve(
             if feasible:
                 trace.termination = "feasibility_tol"
                 break
-            if _stalled(residuals, adjoints):
+            g = atb - atax  # A*r
+            if _norm(g) <= _FARKAS_RTOL * norm_bound * rnorm and _dot(b, r) > 0.0:
                 trace.termination = "suspected_infeasible"
                 break
-            z_next = z_w + (atb - atax) * h
+            z_next = z_w + g * h
             if c.accelerated and not _dot(r, dy) < 0.0:
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
                 beta = float((t - 1.0) / t_next)
@@ -368,7 +350,7 @@ def solve(
         # A feasibility stop returns its own x; every other stop returns the
         # last finite dual iterate and the x of its exact adjoint.
         if trace.termination != "feasibility_tol":
-            x = primal_from_dual(p, w)[0]
+            x = primal_from_dual(p, w)
     return Point(x), Point(w), trace
 
 

@@ -308,11 +308,52 @@ def test_main_rejects_a_non_finite_stored_sample(tmp_path, capsys):
     assert "configuration error" in err and "sampled_values" in err
 
 
+def test_main_rejects_a_non_finite_stored_rhs(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    _write_json(spec_path, L1_SPEC)
+    inst = tmp_path / "inst"
+    assert main(["gen", "--spec", str(spec_path), "--out", str(inst)]) == EXIT_OK
+    values = (inst / "b.csv").read_text().split(",")
+    (inst / "b.csv").write_text(",".join(["nan"] + values[1:]))
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, {"instance_path": "inst/instance.json", "tau": {"value": 10.0}})
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "b must be finite" in err
+
+
 def test_main_config_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     _write_json(cfg_path, {"tau": {"rule": "heuristic"}})
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("output", ["trace", "report"])
+def test_main_unwritable_output_is_config_exit(output, tmp_path, capsys):
+    # The output path is an existing directory, so opening it for writing fails.
+    (tmp_path / "out").mkdir()
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, _solve_cfg(output={output: "out"}))
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(tmp_path / "out") in err
+
+
+def test_main_config_that_is_a_directory_is_config_exit(tmp_path, capsys):
+    assert main(["solve", "--config", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(tmp_path) in err
+
+
+def test_main_gen_into_an_existing_file_is_config_exit(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    _write_json(spec_path, L1_SPEC)
+    assert main(["gen", "--spec", str(spec_path), "--out", str(spec_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(spec_path) in err
 
 
 _BAD_FIELDS = {

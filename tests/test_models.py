@@ -92,6 +92,8 @@ def test_tau_rule_names_all_zero_data():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_models_reject_non_finite_data(bad):
+    with pytest.raises(ValueError, match="b must be finite"):
+        AugL1Model(np.eye(2), [bad, 1.0], tau=1.0)
     mask = SamplingMask((2, 2), ((0, 0), (1, 1)))
     with pytest.raises(ValueError, match="sampled_values must be finite"):
         MatrixCompletionModel(mask, [bad, 1.0])

@@ -95,7 +95,7 @@ def test_solve_reaches_feasibility():
     r = (p.b - p.op.apply(x)).norm()
     assert r <= 1e-10 * max(1.0, p.b.norm())
     # returned pair is consistent: x is the prox image of the returned y
-    x_check, _ = primal_from_dual(p, y.data)
+    x_check = primal_from_dual(p, y.data)
     assert np.linalg.norm(x.data - x_check) == 0.0
     assert len(trace.records) == trace.records[-1].k
 
@@ -141,9 +141,41 @@ def test_trace_records_bound_and_step():
 def test_inconsistent_system_flags_suspected_infeasible():
     a = np.array([[1.0], [1.0]])
     p = ProblemSpec(Dense(a), Point.vector([1.0, 2.0]), NormSpec("l1"), 5.0)
-    x, y, trace = solve(p, SolveConfig(max_iter=50_000, primal_tol=1e-10))
+    for accelerated in (False, True):
+        x, y, trace = solve(p, SolveConfig(max_iter=50_000, primal_tol=1e-10,
+                                           accelerated=accelerated))
+        assert trace.termination == "suspected_infeasible"
+        assert len(trace.records) <= 20
+
+
+def _rank_deficient_system(noise):
+    # A wide 20x60 Dense of rank 12; b = A x0 plus noise, which leaves range(A).
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((20, 12)) @ rng.standard_normal((12, 60)) / np.sqrt(20)
+    x0 = np.zeros(60)
+    x0[rng.choice(60, 5, replace=False)] = rng.standard_normal(5)
+    b = a @ x0 + noise * rng.standard_normal(20)
+    return ProblemSpec(Dense(a), Point.vector(b), NormSpec("l1"), 1.0), a, b
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_noisy_rank_deficient_system_flags_suspected_infeasible(accelerated):
+    # A 100-iteration stall window let the accelerated solve run to max_iter.
+    p, a, b = _rank_deficient_system(noise=1e-2)
+    x, _, trace = solve(p, SolveConfig(max_iter=10_000, accelerated=accelerated))
     assert trace.termination == "suspected_infeasible"
-    assert len(trace.records) < 50_000
+    # The residual has settled at the part of b outside range(A).
+    b_perp = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
+    r = b - a @ x.data
+    assert np.linalg.norm(r) == pytest.approx(np.linalg.norm(b_perp), rel=1e-8)
+    assert b @ r > 0.0
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_consistent_rank_deficient_system_is_not_flagged(accelerated):
+    p, _, _ = _rank_deficient_system(noise=0.0)
+    _, _, trace = solve(p, SolveConfig(accelerated=accelerated))
+    assert trace.termination == "feasibility_tol"
 
 
 def test_zero_rhs_terminates_immediately():
@@ -164,7 +196,7 @@ def test_bound_below_norm_ends_in_numerical_failure(accelerated):
     assert trace.termination == "numerical_failure"
     assert len(trace.records) < 1000
     assert np.all(np.isfinite(x.data)) and np.all(np.isfinite(y.data))
-    x_check, _ = primal_from_dual(p, y.data)
+    x_check = primal_from_dual(p, y.data)
     assert np.linalg.norm(x.data - x_check) == 0.0
     last = trace.records[-1]
     assert not all(
@@ -192,7 +224,7 @@ def test_non_finite_forward_map_ends_in_numerical_failure(accelerated):
     residuals = [rec.primal_residual for rec in trace.records]
     assert not np.isfinite(residuals[-1]) and np.all(np.isfinite(residuals[:-1]))
     assert np.all(np.isfinite(x.data)) and np.all(np.isfinite(y.data))
-    assert x.data.tobytes() == primal_from_dual(p, y.data)[0].tobytes()
+    assert x.data.tobytes() == primal_from_dual(p, y.data).tobytes()
 
 
 def test_overflowing_rhs_is_rejected():
@@ -372,4 +404,4 @@ def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
         y_ref = y_next
     assert restarts > 0
     assert y.data.tobytes() == y_ref.tobytes()
-    assert x.data.tobytes() == primal_from_dual(p, y_ref)[0].tobytes()
+    assert x.data.tobytes() == primal_from_dual(p, y_ref).tobytes()
