@@ -44,6 +44,7 @@ from .solver import (
     ConfigurationError,
     SolveConfig,
     SolveTrace,
+    _is_number,
     solve,
 )
 
@@ -152,6 +153,16 @@ def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
     return RpcaModel(D=D, lam=spec.lam), Point.pair(L0, S0)
 
 
+def _read_json_object(path, name: str) -> dict:
+    """The JSON object stored at ``path``; a ConfigurationError naming
+    ``name`` and the path for any other JSON document."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{name} {path} must be a JSON object, got {doc!r}")
+    return doc
+
+
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -199,8 +210,7 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
 def load_instance(path) -> Tuple[object, Point]:
     """Load an instance stored by write_instance."""
     path = Path(path)
-    with open(path) as fh:
-        meta = json.load(fh)
+    meta = _read_json_object(path, "instance file")
     base = path.parent
     kind = meta["model"]
     payload = meta["payload"]
@@ -256,17 +266,24 @@ def _magnitude_for_rule(model, truth: Point) -> Optional[float]:
     return None
 
 
+def _tau_number(value):
+    """``value`` when it is a number (not a bool), else a ConfigurationError."""
+    if not _is_number(value):
+        raise ConfigurationError(f"tau value must be a number, got {value!r}")
+    return value
+
+
 def _tau_from_config(cfg: dict, model, truth) -> float:
     tau_cfg = cfg.get("tau")
     if not isinstance(tau_cfg, dict) or ("rule" in tau_cfg) == ("value" in tau_cfg):
         raise ConfigurationError(
             "config field 'tau' must carry exactly one of 'rule' or 'value'"
         )
+    extra = set(tau_cfg) - {"rule", "value"}
+    if extra:
+        raise ConfigurationError(f"unknown tau fields: {sorted(extra)}")
     if "value" in tau_cfg:
-        value = tau_cfg["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(f"tau value must be a number, got {value!r}")
-        return value
+        return _tau_number(tau_cfg["value"])
     if tau_cfg["rule"] != "heuristic":
         raise ConfigurationError(f"unknown tau rule {tau_cfg['rule']!r}")
     return tau_heuristic(model, magnitude=_magnitude_for_rule(model, truth))
@@ -282,6 +299,9 @@ def _recovery_error(x: Point, truth: Point) -> Optional[float]:
 def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     """Run one experiment from a parsed config; returns (report, exit code)."""
     base = Path(base_dir)
+    extra = set(cfg) - {"instance", "instance_path", "tau", "solve", "output"}
+    if extra:
+        raise ConfigurationError(f"unknown config fields: {sorted(extra)}")
     if ("instance" in cfg) == ("instance_path" in cfg):
         raise ConfigurationError(
             "config must carry exactly one of 'instance' or 'instance_path'"
@@ -388,21 +408,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":
-            with open(args.spec) as fh:
-                spec = InstanceSpec.from_dict(json.load(fh))
+            spec = InstanceSpec.from_dict(_read_json_object(args.spec, "instance spec"))
             path = write_instance(spec, args.out)
             print(f"wrote {path}")
             return EXIT_OK
         if args.command == "solve":
-            with open(args.config) as fh:
-                cfg = json.load(fh)
+            cfg = _read_json_object(args.config, "config")
             _, code = run_experiment(cfg, base_dir=Path(args.config).parent)
             return code
         # check: the stored solution holds flat lists
         model, _ = load_instance(args.problem)
-        with open(args.solution) as fh:
-            sol = json.load(fh)
-        problem = build_problem(_with_tau(model, float(sol["tau"])))
+        sol = _read_json_object(args.solution, "solution")
+        problem = build_problem(_with_tau(model, _tau_number(sol["tau"])))
         x = Point(np.asarray(sol["x"]).reshape(problem.op.domain_shape))
         y = Point(np.asarray(sol["y"]).reshape(problem.op.codomain_shape))
         rep = kkt_residual(problem, x, y)

@@ -15,9 +15,9 @@ pair (Ax, A*Ax) the dual iteration needs. The solver loop runs on these
 array-level maps; ``apply``/``adjoint`` are their checked forms, which check
 a Point's shape and wrap the result. Three operator variants are supported:
 
-* Dense: an explicit matrix acting on vectors (on a sparse x the forward
-  map reads only the support columns, and A*Ax comes from the Gram rows of
-  the support, both kept while the support stays the same);
+* Dense: an explicit matrix, final (on a sparse x the forward map reads
+  only the support columns, and A*Ax comes from the Gram rows of the
+  support, both kept while the support stays the same);
 * SamplingMask: element selection at an index set Omega, mapping a matrix
   to the compact vector of sampled entries (adjoint zero-fills);
 * BlockSum: (L, S) -> L + S, whose adjoint duplicates.
@@ -160,7 +160,9 @@ class _SupportBlocks:
 
 @dataclass(frozen=True, eq=False)
 class Dense(LinearOperator):
-    """Explicit m-by-n matrix (m, n >= 1) acting on vectors.
+    """Explicit m-by-n matrix (m, n >= 1) acting on vectors; final, so that
+    its maps, the Gram rows of its normal map and the Gram norm in
+    ``numerics`` all read ``matrix`` (another map subclasses LinearOperator).
 
     ``matrix`` is a read-only view of the caller's array, and the operator
     caches products computed from it: the caller must not mutate that array
@@ -169,6 +171,9 @@ class Dense(LinearOperator):
     """
 
     matrix: np.ndarray
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("Dense cannot be subclassed; another map subclasses LinearOperator")
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float).view()
@@ -187,18 +192,14 @@ class Dense(LinearOperator):
     def codomain_shape(self) -> Tuple[int]:
         return (self.matrix.shape[0],)
 
-    def _apply(self, x: np.ndarray, support=None) -> np.ndarray:
-        """Ax; on a sparse x, from the columns on the support S only.
-
-        ``support`` is the pair (S, x[S]) with S = np.flatnonzero(x != 0),
-        for a caller that has already found it; an override must accept it.
-        """
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Ax; on a sparse x, from the columns on the support S only."""
         # Searching the boolean x != 0 finds the same S (-0.0 and NaN
         # included) in about half the time of searching x itself.
-        nz = np.flatnonzero(x != 0) if support is None else support[0]
+        nz = np.flatnonzero(x != 0)
         if nz.size > SPARSE_APPLY_FRACTION * x.size:
             return self.matrix @ x
-        return self._blocks.columns(nz) @ (x[nz] if support is None else support[1])
+        return self._blocks.columns(nz) @ x[nz]
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ y
@@ -214,10 +215,12 @@ class Dense(LinearOperator):
         iterations. The rows are summed in support order.
         """
         nz = np.flatnonzero(x != 0)
+        if nz.size > SPARSE_APPLY_FRACTION * x.size:
+            ax = self.matrix @ x
+            return ax, self._adjoint(ax)
         x_nz = x[nz]
-        ax = self._apply(x, (nz, x_nz))
-        m, n = self.matrix.shape
-        if nz.size > SPARSE_APPLY_FRACTION * n or nz.size >= m:
+        ax = self._blocks.columns(nz) @ x_nz
+        if nz.size >= self.matrix.shape[0]:
             return ax, self._adjoint(ax)
         return ax, x_nz @ self._blocks.gram(nz)
 

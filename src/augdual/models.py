@@ -21,7 +21,7 @@ from . import numerics
 from .linop import BlockSum, Dense, Point, SamplingMask
 # Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
 from .prox import NormSpec, soft_threshold, svt
-from .solver import ProblemSpec
+from .solver import ProblemSpec, _is_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,7 @@ class RpcaModel:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
+        if not (_is_number(self.lam) and math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
         object.__setattr__(self, "D", _finite("D", self.D))
 
@@ -131,6 +131,8 @@ def _require_tau(model) -> float:
     # ProblemSpec checks that tau is finite and positive.
     if model.tau is None:
         raise ValueError("model has no tau; set it explicitly or via tau_heuristic")
+    if not _is_number(model.tau):
+        raise ValueError(f"tau must be a number, got {model.tau!r}")
     return float(model.tau)
 
 

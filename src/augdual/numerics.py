@@ -4,9 +4,10 @@ The SVD is LAPACK's divide-and-conquer routine (``np.linalg.svd``) plus a
 relative clamp of negligible singular values, so rank decisions in the
 singular-value thresholding loop are stable. The operator norm ||A|| of a
 wide or tall Dense is the square root of the top eigenvalue of its explicit
-smaller Gram matrix (LAPACK); every other operator gets a seeded Lanczos
-estimate on the smaller of A A* and A* A, which needs only the forward and
-adjoint maps.
+smaller Gram matrix (LAPACK); every other operator gets a Lanczos estimate
+on the smaller of A A* and A* A, which needs only the forward and adjoint
+maps. Neither takes options: Lanczos starts from seed 0 and stops at a
+relative change of 1e-12 or after 5000 steps.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ _INVARIANT_RTOL = 1e-12
 # The norm of a Dense comes from its explicit smaller Gram matrix when that
 # matrix takes at most this fraction of the Dense's memory.
 GRAM_MEMORY_FRACTION = 0.25
+# Lanczos stops when its Ritz value of ||A||^2 changes by at most this
+# fraction between consecutive steps, or after this many steps.
+_LANCZOS_RTOL = 1e-12
+_LANCZOS_MAX_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ def power_iteration(
     ``operator_norm_estimate``; this is kept as the slower reference.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     x = np.random.default_rng(seed).standard_normal(op.domain_shape)
     nrm = float(np.linalg.norm(x))
     if nrm == 0:
@@ -104,10 +109,10 @@ def _small_gram(op: LinearOperator):
     symmetric BLAS-3 product (numpy runs syrk for ``a @ a.T``), when it takes
     at most GRAM_MEMORY_FRACTION of A's memory and is finite. G is a
     transient of min(m, n)^2 floats (0.72 MB for 300x1400). Every other
-    operator, a square-ish Dense and a Dense subclass, whose maps may differ
-    from its matrix, get None.
+    operator and a square-ish Dense get None. Dense cannot be subclassed, so
+    its maps are those of its matrix.
     """
-    if type(op) is not Dense:
+    if not isinstance(op, Dense):
         return None
     a = op.matrix
     m, n = a.shape
@@ -124,29 +129,25 @@ def _grown(arr: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def lanczos_norm(
-    op: LinearOperator, tol: float, max_iter: int, seed: int
-) -> tuple[float, bool, int]:
-    """Lanczos estimate of ||A|| from a seeded random start.
+def lanczos_norm(op: LinearOperator) -> tuple[float, bool, int]:
+    """Lanczos estimate of ||A|| from a random start of seed 0.
 
     Runs on the smaller Gram operator, A A* when the codomain is smaller and
     A* A otherwise, through the operator's ``apply`` and ``adjoint``, with
     full reorthogonalization (two Gram-Schmidt passes) of each new vector
     against the stored basis. Stops when the top eigenvalue theta of the
-    tridiagonal T_j changes by at most ``tol`` relative, or when beta_j
-    vanishes (an invariant Krylov space), or after min(max_iter, dim) steps.
-    Returns (sqrt(theta), converged, steps); the estimate never exceeds
-    ||A|| up to rounding.
+    tridiagonal T_j changes by at most _LANCZOS_RTOL relative, or when
+    beta_j vanishes (an invariant Krylov space), or after
+    min(_LANCZOS_MAX_STEPS, dim) steps. Returns (sqrt(theta), converged,
+    steps); the estimate never exceeds ||A|| up to rounding.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     first, second, shape = op.apply, op.adjoint, op.domain_shape
     if math.prod(op.codomain_shape) < math.prod(shape):
         first, second, shape = op.adjoint, op.apply, op.codomain_shape
     # The basis holds flat vectors; the operators see them in their shape.
-    q = np.random.default_rng(seed).standard_normal(math.prod(shape))
+    q = np.random.default_rng(0).standard_normal(math.prod(shape))
     q = q / np.linalg.norm(q)
-    cap = min(max_iter, q.size)
+    cap = min(_LANCZOS_MAX_STEPS, q.size)
     # Basis rows q_1..q_j and the tridiagonal T, grown together by doubling
     # so a short run allocates little.
     size = min(cap, 32)
@@ -168,7 +169,7 @@ def lanczos_norm(
         beta = float(np.linalg.norm(w))
         theta_prev, theta = theta, float(np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1])
         if beta <= _INVARIANT_RTOL * theta or (
-            theta_prev >= 0 and abs(theta - theta_prev) <= tol * theta
+            theta_prev >= 0 and abs(theta - theta_prev) <= _LANCZOS_RTOL * theta
         ):
             steps, converged = j + 1, True
             break
@@ -176,27 +177,22 @@ def lanczos_norm(
     return float(np.sqrt(max(theta, 0.0))), converged, steps
 
 
-def operator_norm_estimate(
-    op: LinearOperator, tol: float = 1e-12, max_iter: int = 5000, seed: int = 0
-) -> float:
+def operator_norm_estimate(op: LinearOperator) -> float:
     """Largest-singular-value estimate of ``op``.
 
     For a Dense whose smaller Gram matrix G takes at most a quarter of its
     memory (``_small_gram``), the value is sqrt of G's top eigenvalue from
-    LAPACK (``np.linalg.eigvalsh``), accurate to rounding; ``tol`` and
-    ``max_iter`` do not apply there. Every other operator gets the Lanczos
-    estimate (``lanczos_norm``), a lower bound on ||A|| up to rounding, and
-    ``tol`` bounds the relative change of its Ritz value of ||A||^2 between
-    consecutive steps, not the error of the estimate. A RuntimeWarning flags
-    a Lanczos run that hit ``max_iter``; its text predates Lanczos and
-    ``solvebench`` matches it.
+    LAPACK (``np.linalg.eigvalsh``), accurate to rounding. Every other
+    operator gets the Lanczos estimate (``lanczos_norm``), a lower bound on
+    ||A|| up to rounding; its tolerance bounds the relative change of the
+    Ritz value of ||A||^2 between consecutive steps, not the error of the
+    estimate. A RuntimeWarning flags a Lanczos run that hit its step cap;
+    its text predates Lanczos and ``solvebench`` matches it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     gram = _small_gram(op)
     if gram is not None:
         return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-    value, converged, _ = lanczos_norm(op, tol, max_iter, seed)
+    value, converged, _ = lanczos_norm(op)
     if not converged:
         warnings.warn(
             "operator norm power iteration did not reach tolerance; "

@@ -73,8 +73,8 @@ class ProblemSpec:
             b_norm = self.b.norm()
         if not math.isfinite(b_norm):
             raise ValueError("||b|| overflows to inf; rescale the data")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be finite and positive")
+        if not (_is_number(self.tau) and np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def validate_config(c: SolveConfig, norm_bound: float) -> float:
     accelerated solve at most the 1/L step 1/bound^2, which is the step
     taken when c.h is None. Neither depends on tau.
     """
-    if not (math.isfinite(norm_bound) and norm_bound > 0):
+    if not (_is_number(norm_bound) and math.isfinite(norm_bound) and norm_bound > 0):
         raise ConfigurationError(f"norm_bound must be finite and positive, got {norm_bound!r}")
     cap = default_step_size(norm_bound)
     if c.h is None:

@@ -371,6 +371,9 @@ _BAD_FIELDS = {
     "output_unknown_key": ({"output": {"reprot": "r.json"}}, "reprot"),
     "tau_bool": ({"tau": {"value": True}}, "tau"),
     "tau_string": ({"tau": {"value": "3"}}, "tau"),
+    "tau_unknown_key": ({"tau": {"rule": "heuristic", "scale": 2}}, "scale"),
+    "top_level_outputs": ({"outputs": {"report": "r.json"}}, "outputs"),
+    "top_level_slove": ({"slove": {"max_iter": 1}}, "slove"),
     "instance_list": ({"instance": [1, 2]}, "instance"),
     "instance_path_number": ({"instance": None, "instance_path": 5}, "instance_path"),
     "instance_n_float": ({"instance": {**L1_SPEC, "n": 30.5}}, "'n'"),
@@ -390,6 +393,60 @@ def test_main_rejects_bad_solve_fields(overrides, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert field in err
+
+
+def _stored_solve(tmp_path):
+    """Generate, solve and store an l1 instance; the CLI arguments of the
+    gen, solve and check commands that read the stored documents."""
+    _write_json(tmp_path / "spec.json", L1_SPEC)
+    inst = tmp_path / "inst" / "instance.json"
+    _write_json(tmp_path / "config.json", {
+        "instance_path": "inst/instance.json", "tau": {"value": 10.0},
+        "output": {"solution": "solution.json"},
+    })
+    args = {
+        "gen": ["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(inst.parent)],
+        "solve": ["solve", "--config", str(tmp_path / "config.json")],
+        "check": ["check", "--problem", str(inst),
+                  "--solution", str(tmp_path / "solution.json")],
+    }
+    assert main(args["gen"]) == EXIT_OK
+    assert main(args["solve"]) == EXIT_OK
+    return args
+
+
+_NOT_OBJECTS = {
+    "spec": ("spec.json", [1], "gen"),
+    "config_number": ("config.json", 3, "solve"),
+    "config_null": ("config.json", None, "solve"),
+    "instance_path": ("inst/instance.json", [1], "solve"),
+    "problem": ("inst/instance.json", [1], "check"),
+    "solution": ("solution.json", [1, 2], "check"),
+}
+
+
+@pytest.mark.parametrize("document, value, command", _NOT_OBJECTS.values(),
+                         ids=_NOT_OBJECTS)
+def test_main_rejects_a_json_document_that_is_not_an_object(
+    document, value, command, tmp_path, capsys
+):
+    args = _stored_solve(tmp_path)
+    _write_json(tmp_path / document, value)
+    capsys.readouterr()
+    assert main(args[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "must be a JSON object" in err
+    assert str(tmp_path / document) in err
+
+
+@pytest.mark.parametrize("tau", [True, "10"])
+def test_main_check_rejects_a_tau_that_is_not_a_number(tau, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    sol_path = tmp_path / "solution.json"
+    _write_json(sol_path, {**json.loads(sol_path.read_text()), "tau": tau})
+    capsys.readouterr()
+    assert main(args["check"]) == EXIT_CONFIG
+    assert "tau value must be a number" in capsys.readouterr().err
 
 
 def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,14 @@ from augdual.linop import (
 )
 
 
+def test_dense_cannot_be_subclassed():
+    # Its maps, Gram rows and Gram norm all read its matrix; a subclass that
+    # overrode one map would leave the others on the matrix.
+    with pytest.raises(TypeError, match="subclasses LinearOperator"):
+        class Scaled(Dense):
+            pass
+
+
 def test_point_vector_roundtrip():
     p = Point.vector([1.0, -2.0, 3.0])
     assert p.data.shape == (3,)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from augdual.cli import InstanceSpec, generate_instance
-from augdual.linop import BlockSum, Dense, SamplingMask
+from augdual.linop import BlockSum, Dense, Point, SamplingMask
 from augdual.models import (
     AugL1Model,
     MatrixCompletionModel,
@@ -17,7 +17,7 @@ from augdual.models import (
 from augdual import numerics
 from augdual.numerics import svd
 from augdual.prox import NormSpec, prox_norm, soft_threshold, svt
-from augdual.solver import SolveConfig, solve
+from augdual.solver import ProblemSpec, SolveConfig, solve
 
 
 def test_tau_rule_aug_l1():
@@ -56,7 +56,7 @@ def test_tau_rule_rpca():
     assert tau_heuristic(model) == pytest.approx(30.9839, abs=5e-4)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, True, "0.5"])
 def test_rpca_model_rejects_a_lam_that_is_not_finite_and_positive(lam):
     with pytest.raises(ValueError, match="lam must be finite and positive"):
         RpcaModel(np.eye(2), lam=lam)
@@ -76,6 +76,11 @@ def test_build_requires_tau():
     for tau in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be finite and positive"):
             build_problem(AugL1Model(np.eye(3), np.ones(3), tau=tau))
+    # A bool is not a number: neither the model nor ProblemSpec coerces it.
+    with pytest.raises(ValueError, match="tau must be a number, got True"):
+        build_problem(AugL1Model(np.eye(3), np.ones(3), tau=True))
+    with pytest.raises(ValueError, match="tau must be finite and positive, got True"):
+        ProblemSpec(Dense(np.eye(3)), Point.vector(np.ones(3)), NormSpec("l1"), True)
 
 
 def test_tau_rule_names_all_zero_data():

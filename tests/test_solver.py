@@ -64,7 +64,7 @@ def test_accelerated_step_cap():
         validate_config(SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
 
 
-@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0, True])
 def test_norm_bound_must_be_finite_and_positive(bound):
     p, _ = _l1_problem()
     with pytest.raises(ConfigurationError, match="norm_bound"):
@@ -204,11 +204,26 @@ def test_bound_below_norm_ends_in_numerical_failure(accelerated):
     )
 
 
-class _InfiniteForwardDense(Dense):
+class _FullProductMap(LinearOperator):
+    """Reference maps of a matrix: the full matrix-vector product for every
+    x, and A*Ax as the adjoint of Ax."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.domain_shape, self.codomain_shape = (matrix.shape[1],), (matrix.shape[0],)
+
+    def _apply(self, x):
+        return self.matrix @ x
+
+    def _adjoint(self, y):
+        return self.matrix.T @ y
+
+
+class _InfiniteForwardMap(_FullProductMap):
     """A forward map that overflows to inf once x is nonzero."""
 
-    def _apply(self, x, *support):
-        ax = super()._apply(x, *support)
+    def _apply(self, x):
+        ax = super()._apply(x)
         return np.full_like(ax, np.inf) if x.any() else ax
 
 
@@ -217,7 +232,7 @@ def test_non_finite_forward_map_ends_in_numerical_failure(accelerated):
     # Ax is inf from the first nonzero x on. The bound is given, so the
     # norm estimate never meets the non-finite map.
     p, _ = _l1_problem(seed=0, n=8, m=5)
-    p = dataclasses.replace(p, op=_InfiniteForwardDense(p.op.matrix))
+    p = dataclasses.replace(p, op=_InfiniteForwardMap(p.op.matrix))
     x, y, trace = solve(p, SolveConfig(accelerated=accelerated),
                         norm_bound=1.01 * np.linalg.norm(p.op.matrix, 2))
     assert trace.termination == "numerical_failure"
@@ -244,16 +259,6 @@ def test_trace_records_are_a_read_only_view():
         recs[len(recs)]
 
 
-class _FullProductDense(Dense):
-    """Reference maps: the full matrix-vector product for every x, and A*Ax
-    as the adjoint of Ax."""
-
-    _apply_normal = LinearOperator._apply_normal
-
-    def _apply(self, x):
-        return self.matrix @ x
-
-
 def test_sparse_forward_map_keeps_the_iterates():
     # A 300x1400 linearized-Bregman solve whose iterates keep about 30
     # nonzeros, so every forward map after the first takes the sparse path.
@@ -262,7 +267,7 @@ def test_sparse_forward_map_keeps_the_iterates():
     )
     tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
     p = build_problem(dataclasses.replace(model, tau=tau))
-    ref = dataclasses.replace(p, op=_FullProductDense(p.op.matrix))
+    ref = dataclasses.replace(p, op=_FullProductMap(p.op.matrix))
     config = SolveConfig(primal_tol=1e-6)
     x, _, trace = solve(p, config)
     x_ref, _, trace_ref = solve(ref, config)
