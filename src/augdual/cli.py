@@ -155,9 +155,15 @@ def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
 
 def _read_json_object(path, name: str) -> dict:
     """The JSON object stored at ``path``; a ConfigurationError naming
-    ``name`` and the path for any other JSON document."""
+    ``name`` and the path for any other JSON document, and for a key missing
+    from any of its objects."""
+
+    class Stored(dict):
+        def __missing__(self, key):
+            raise ConfigurationError(f"{name} {path} has no {key!r} field")
+
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=Stored)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{name} {path} must be a JSON object, got {doc!r}")
     return doc
@@ -172,10 +178,6 @@ def _write_json(path: Path, obj) -> None:
 
 def _save_csv(path: Path, arr: np.ndarray):
     np.savetxt(path, np.atleast_2d(arr), fmt=_FLOAT_FMT, delimiter=",")
-
-
-def _load_csv(path: Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def write_instance(spec: InstanceSpec, out_dir) -> Path:
@@ -211,26 +213,24 @@ def load_instance(path) -> Tuple[object, Point]:
     """Load an instance stored by write_instance."""
     path = Path(path)
     meta = _read_json_object(path, "instance file")
-    base = path.parent
     kind = meta["model"]
     payload = meta["payload"]
+    if not (isinstance(payload, dict) and all(isinstance(v, str) for v in payload.values())):
+        raise ConfigurationError(f"instance file {path}: 'payload' must map names to file paths")
+
+    def load(key: str) -> np.ndarray:
+        return np.loadtxt(path.parent / payload[key], delimiter=",", ndmin=2)
+
     if kind == "aug_l1":
-        A = _load_csv(base / payload["A"])
-        b = _load_csv(base / payload["b"]).ravel()
-        x0 = _load_csv(base / payload["x0"]).ravel()
+        A, b, x0 = load("A"), load("b").ravel(), load("x0").ravel()
         return AugL1Model(A=A, b=b), Point.vector(x0)
     if kind == "matrix_completion":
-        values = _load_csv(base / payload["sampled_values"]).ravel()
-        model = MatrixCompletionModel(
-            SamplingMask(meta["shape"], meta["omega"]), sampled_values=values
-        )
-        truth = Point.matrix(_load_csv(base / payload["M0"]))
-        return model, truth
+        values = load("sampled_values").ravel()
+        model = MatrixCompletionModel(SamplingMask(meta["shape"], meta["omega"]), values)
+        return model, Point.matrix(load("M0"))
     if kind == "rpca":
-        D = _load_csv(base / payload["D"])
-        model = RpcaModel(D=D, lam=float(meta["lam"]))
-        truth = Point.pair(_load_csv(base / payload["L0"]), _load_csv(base / payload["S0"]))
-        return model, truth
+        model = RpcaModel(D=load("D"), lam=float(meta["lam"]))
+        return model, Point.pair(load("L0"), load("S0"))
     raise ValueError(f"unknown stored model kind {kind!r}")
 
 

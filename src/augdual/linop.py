@@ -10,14 +10,14 @@ instance, and the pair a solve returns. All arithmetic runs on their
 ``.data`` arrays.
 
 Each operator declares numpy ``domain_shape``/``codomain_shape`` and maps
-arrays to arrays in ``_apply``/``_adjoint``, and ``_apply_normal`` returns the
-pair (Ax, A*Ax) the dual iteration needs. The solver loop runs on these
-array-level maps; ``apply``/``adjoint`` are their checked forms, which check
-a Point's shape and wrap the result. Three operator variants are supported:
+arrays to arrays in ``_apply``/``_adjoint``; ``normal_map()`` returns the map
+x -> (Ax, A*Ax) that one solve applies to its iterates. The solver loop runs
+on these maps; ``apply``/``adjoint`` are their checked forms, which check a
+Point's shape and wrap the result. Three operator variants are supported:
 
-* Dense: an explicit matrix, final (on a sparse x the forward map reads
-  only the support columns, and A*Ax comes from the Gram rows of the
-  support, both kept while the support stays the same);
+* Dense: an explicit matrix, final and its only state (on a sparse x the
+  forward map reads only the support columns, and the normal map of a
+  solve keeps them and the Gram rows of the support, which give A*Ax);
 * SamplingMask: element selection at an index set Omega, mapping a matrix
   to the compact vector of sampled entries (adjoint zero-fills);
 * BlockSum: (L, S) -> L + S, whose adjoint duplicates.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -119,41 +119,63 @@ class LinearOperator:
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _apply_normal(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        ax = self._apply(x)
-        return ax, self._adjoint(ax)
+    def normal_map(self) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """The map x -> (Ax, A*Ax) of one solve, which calls this once, so an
+        override may keep state for that solve; by default _apply, _adjoint."""
+        def normal(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            ax = self._apply(x)
+            return ax, self._adjoint(ax)
+        return normal
+
+
+def _sparse_support(x: np.ndarray) -> Optional[np.ndarray]:
+    """The sorted support of x when at most SPARSE_APPLY_FRACTION of x is
+    nonzero, else None. Searching the boolean x != 0 finds the same support
+    (-0.0 and NaN included) in about half the time of searching x itself."""
+    nz = np.flatnonzero(x != 0)
+    return None if nz.size > SPARSE_APPLY_FRACTION * x.size else nz
 
 
 class _SupportBlocks:
-    """Blocks of a Dense matrix on the support S of the last sparse x: the
-    columns A[:, S] and the Gram rows (A*A)[S], each kept until a call
-    brings another support. A new Gram block copies the rows it shares with
-    the old one and computes each other row A*a_j by one matrix-vector
-    product, so a row's bits never depend on which supports came before.
-    A support is a sorted index array, as np.flatnonzero returns."""
+    """The normal map of a Dense for one solve. On a sparse x with support S,
+    Ax comes from the columns A[:, S] and, when nnz(x) < m, A*Ax from the
+    Gram rows (A*A)[S]: O(n * nnz(x)) against O(m * n) for the adjoint. Each
+    block is kept until a call brings another support (a sorted index array).
+    A new Gram block copies the rows it shares with the old one and computes
+    each other row A*a_j by one matrix-vector product, so a row's bits never
+    depend on which supports came before."""
 
-    def __init__(self, matrix: np.ndarray):
-        self._matrix = matrix
+    def __init__(self, op: Dense):
+        self._op = op
         none = np.zeros(0, dtype=np.intp)
-        self._columns = (none, matrix[:, none])
-        self._gram = (none, np.zeros((0, matrix.shape[1])))
+        self._columns = (none, op.matrix[:, none])
+        self._gram = (none, np.zeros((0, op.matrix.shape[1])))
 
-    def columns(self, support: np.ndarray) -> np.ndarray:
-        if support.tobytes() != self._columns[0].tobytes():
-            self._columns = (support, self._matrix[:, support])
-        return self._columns[1]
+    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        nz = _sparse_support(x)
+        if nz is None:
+            ax = self._op.matrix @ x
+        else:
+            x_nz = x[nz]
+            if nz.tobytes() != self._columns[0].tobytes():
+                self._columns = (nz, self._op.matrix[:, nz])
+            ax = self._columns[1] @ x_nz
+            if nz.size < self._op.matrix.shape[0]:
+                return ax, x_nz @ self._gram_of(nz)
+        return ax, self._op._adjoint(ax)
 
-    def gram(self, support: np.ndarray) -> np.ndarray:
+    def _gram_of(self, support: np.ndarray) -> np.ndarray:
         old, rows = self._gram
         if support.tobytes() == old.tobytes():
             return rows
-        block = np.empty((support.size, self._matrix.shape[1]))
+        matrix = self._op.matrix
+        block = np.empty((support.size, matrix.shape[1]))
         if old.size:
             # An unbuffered take (no temporary block); the rows it puts at
             # indices new to the support are replaced below.
             np.take(rows, np.searchsorted(old, support), axis=0, out=block, mode="clip")
         for i in np.flatnonzero(~np.isin(support, old, assume_unique=True)):
-            block[i] = self._matrix.T @ self._matrix[:, support[i]]
+            block[i] = matrix.T @ matrix[:, support[i]]
         self._gram = (support, block)
         return block
 
@@ -164,10 +186,8 @@ class Dense(LinearOperator):
     its maps, the Gram rows of its normal map and the Gram norm in
     ``numerics`` all read ``matrix`` (another map subclasses LinearOperator).
 
-    ``matrix`` is a read-only view of the caller's array, and the operator
-    caches products computed from it: the caller must not mutate that array
-    afterwards. The cache also makes one Dense unsafe to use from several
-    threads at once.
+    ``matrix`` is a read-only view of the caller's array and the operator's
+    only state: every product reads the array as it is at the call.
     """
 
     matrix: np.ndarray
@@ -182,7 +202,6 @@ class Dense(LinearOperator):
             raise ValueError("dense operator entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_blocks", _SupportBlocks(mat))
 
     @property
     def domain_shape(self) -> Tuple[int]:
@@ -193,36 +212,17 @@ class Dense(LinearOperator):
         return (self.matrix.shape[0],)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Ax; on a sparse x, from the columns on the support S only."""
-        # Searching the boolean x != 0 finds the same S (-0.0 and NaN
-        # included) in about half the time of searching x itself.
-        nz = np.flatnonzero(x != 0)
-        if nz.size > SPARSE_APPLY_FRACTION * x.size:
+        """Ax; on a sparse x, from the columns on the support only."""
+        nz = _sparse_support(x)
+        if nz is None:
             return self.matrix @ x
-        return self._blocks.columns(nz) @ x[nz]
+        return self.matrix[:, nz] @ x[nz]
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ y
 
-    def _apply_normal(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(Ax, A*Ax) from one support S of x; on a sparse x,
-        A*Ax = sum over S of x_j A*a_j, from the Gram rows of S.
-
-        Taken when the forward map takes its sparse path and nnz(x) < m, so
-        the block holds fewer rows than A. It costs O(n * nnz(x)) against
-        O(m * n) for the adjoint, plus O(m * n) per index that enters the
-        support; linearized-Bregman iterates keep their support on most
-        iterations. The rows are summed in support order.
-        """
-        nz = np.flatnonzero(x != 0)
-        if nz.size > SPARSE_APPLY_FRACTION * x.size:
-            ax = self.matrix @ x
-            return ax, self._adjoint(ax)
-        x_nz = x[nz]
-        ax = self._blocks.columns(nz) @ x_nz
-        if nz.size >= self.matrix.shape[0]:
-            return ax, self._adjoint(ax)
-        return ax, x_nz @ self._blocks.gram(nz)
+    def normal_map(self) -> _SupportBlocks:
+        return _SupportBlocks(self)
 
 
 @dataclass(frozen=True, eq=False)

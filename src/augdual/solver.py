@@ -12,19 +12,18 @@ the loop stops on it (``suspected_infeasible``).
 
 The step y+ = w + h(b - Ax) is linear in the dual variable, so the loop
 carries z = A*y alongside y: A*y+ = A*w + h(A*b - A*Ax), with A*b computed
-once and (Ax, A*Ax) from the operator's array-level normal map
-``_apply_normal``, and the momentum step applies to z the elementwise
-operations it applies to y. An iteration then needs no adjoint of its own;
-on a sparse l1 iterate the Dense operator forms A*Ax from cached Gram rows.
-The loop runs on arrays, through ``_apply_normal`` and ``_adjoint``, and
+once and (Ax, A*Ax) from the map that ``op.normal_map()`` returns once per
+solve, and the momentum step applies to z the elementwise operations it
+applies to y. An iteration then needs no adjoint of its own; on a sparse
+l1 iterate the normal map of a Dense forms A*Ax from Gram rows it keeps for
+that solve. The loop runs on arrays, through that map and ``_adjoint``, and
 wraps only the returned pair in Points; its own finiteness check stands in
-for the one a Point makes. For the sampling and block-sum operators
-the carried z has the same bits as the adjoint that the reference
-iteration ``oracle.step`` takes of every iterate. Elsewhere it drifts by
-rounding, so before every stop the loop recomputes A*w exactly (and, where
-the bits differ, x and the residual from it): every returned x is
-tau*prox(A*w/tau) of the exact adjoint, and a feasibility stop rests on the
-exact residual.
+for the one a Point makes. For the sampling and block-sum operators the
+carried z has the same bits as the adjoint that the reference iteration
+``oracle.step`` takes of every iterate. Elsewhere it drifts by rounding, so
+before every stop the loop recomputes A*w exactly (and, where the bits
+differ, x and the residual from it): every returned x is tau*prox(A*w/tau)
+of the exact adjoint, and a feasibility stop rests on the exact residual.
 """
 
 from __future__ import annotations
@@ -282,11 +281,12 @@ def solve(
     z_y = np.zeros(op.domain_shape) if c.y0 is None else op._adjoint(y)
     z_w = z_y
     atb = op._adjoint(b)
+    normal = op.normal_map()
 
     def evaluate(z):
         # From z = A*w: x = tau*prox(z/tau), the residual b - Ax, and A*Ax.
         x = _primal(p, z)
-        ax, atax = op._apply_normal(x)
+        ax, atax = normal(x)
         return x, b - ax, atax
 
     t = 1.0

@@ -449,6 +449,46 @@ def test_main_check_rejects_a_tau_that_is_not_a_number(tau, tmp_path, capsys):
     assert "tau value must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [["A.csv"], "A.csv", {"A": 1, "b": "b.csv"}],
+                         ids=["list", "string", "number"])
+def test_main_rejects_a_stored_payload_that_is_not_a_map_of_files(
+    payload, tmp_path, capsys
+):
+    args = _stored_solve(tmp_path)
+    inst = tmp_path / "inst" / "instance.json"
+    _write_json(inst, {**json.loads(inst.read_text()), "payload": payload})
+    for command in ("solve", "check"):
+        capsys.readouterr()
+        assert main(args[command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"instance file {inst}: 'payload' must map names to file paths" in err
+
+
+@pytest.mark.parametrize("key", ["model", "payload", "A"])
+def test_main_names_a_key_missing_from_a_stored_instance(key, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    inst = tmp_path / "inst" / "instance.json"
+    meta = json.loads(inst.read_text())
+    del (meta if key in meta else meta["payload"])[key]
+    _write_json(inst, meta)
+    for command in ("solve", "check"):
+        capsys.readouterr()
+        assert main(args[command]) == EXIT_CONFIG
+        assert f"instance file {inst} has no {key!r} field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tau", "x", "y"])
+def test_main_names_a_key_missing_from_a_stored_solution(key, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    sol_path = tmp_path / "solution.json"
+    sol = json.loads(sol_path.read_text())
+    del sol[key]
+    _write_json(sol_path, sol)
+    capsys.readouterr()
+    assert main(args["check"]) == EXIT_CONFIG
+    assert f"solution {sol_path} has no {key!r} field" in capsys.readouterr().err
+
+
 def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
     def failing_svd(m):
         raise np.linalg.LinAlgError("SVD did not converge")

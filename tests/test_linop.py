@@ -247,7 +247,8 @@ def test_dense_apply_normal_matches_adjoint_of_apply(shape, which, monkeypatch):
         return adjoint(self, y)
 
     monkeypatch.setattr(Dense, "_adjoint", counting_adjoint)
-    ax, atax = op._apply_normal(x.data)
+    normal = op.normal_map()
+    ax, atax = normal(x.data)
     assert np.array_equal(ax, op.apply(x).data)
     assert atax.shape == (n,)
     # At nnz = 0 the bound demands exact zeros.
@@ -267,7 +268,7 @@ def test_dense_apply_normal_matches_adjoint_of_apply(shape, which, monkeypatch):
         return flatnonzero(a)
 
     monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
-    ax_arr, atax_arr = op._apply_normal(x.data)
+    ax_arr, atax_arr = normal(x.data)
     assert searches == 1
     assert ax_arr.tobytes() == ax.tobytes()
     assert atax_arr.tobytes() == atax.tobytes()
@@ -286,18 +287,18 @@ def test_dense_apply_normal_bits_do_not_depend_on_earlier_supports():
     x_half = np.where(np.arange(250) >= np.median(support), x, 0.0)
     x_more = x + np.where(np.isin(np.arange(250), other[:3]), 1.0, 0.0)
 
-    cold = Dense(a)._apply_normal(x)[1]
+    cold = Dense(a).normal_map()(x)[1]
     # Before x: half its support (the rest is computed on top), a disjoint
     # support (every row computed afresh), a superset (rows dropped).
     for before in (x_half, x_other, x_more):
-        op = Dense(a)
-        op._apply_normal(before)
-        assert op._apply_normal(x)[1].tobytes() == cold.tobytes()
-        assert op._apply_normal(x)[1].tobytes() == cold.tobytes()
+        normal = Dense(a).normal_map()
+        normal(before)
+        assert normal(x)[1].tobytes() == cold.tobytes()
+        assert normal(x)[1].tobytes() == cold.tobytes()
     # New values on a kept support.
     y = np.where(x != 0, rng.standard_normal(250), 0.0)
-    assert op._apply_normal(y)[1].tobytes() == Dense(a)._apply_normal(y)[1].tobytes()
-    assert np.array_equal(op._apply_normal(np.zeros(250))[1], np.zeros(250))
+    assert normal(y)[1].tobytes() == Dense(a).normal_map()(y)[1].tobytes()
+    assert np.array_equal(normal(np.zeros(250))[1], np.zeros(250))
 
 
 def test_dense_matrix_is_read_only():

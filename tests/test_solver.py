@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,73 @@ def test_sparse_forward_map_keeps_the_iterates():
     assert np.count_nonzero(x.data) <= SPARSE_APPLY_FRACTION * x.data.size
 
 
+def _sparse_l1(op, rng, k):
+    n = op.domain_shape[0]
+    x0 = np.zeros(n)
+    x0[rng.choice(n, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k)
+    return ProblemSpec(op, Point.vector(op.matrix @ x0), NormSpec("l1"), 10.0)
+
+
+def test_solve_reads_a_mutated_matrix_afresh():
+    # Dense keeps only its matrix, a view of the caller's array, and each
+    # solve builds its own normal map: after the caller scales the array,
+    # the forward map and a warm-started re-solve see the new entries.
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((40, 200)) / np.sqrt(40)
+    p = _sparse_l1(Dense(a), rng, 5)
+    assert list(vars(p.op)) == ["matrix"]
+    x, y, trace = solve(p, SolveConfig(primal_tol=1e-8))
+    assert trace.termination == "feasibility_tol"
+    assert list(vars(p.op)) == ["matrix"]
+    a *= 1.5
+    # x is sparse, so the forward map takes its support-column path.
+    assert np.count_nonzero(x.data) <= SPARSE_APPLY_FRACTION * x.data.size
+    want = a @ x.data
+    assert np.linalg.norm(p.op.apply(x).data - want) <= 1e-14 * np.linalg.norm(want)
+    config = SolveConfig(primal_tol=1e-8, y0=y, max_iter=5000)
+    fresh = ProblemSpec(Dense(a.copy()), p.b, p.regularizer, p.tau)
+    x_warm, y_warm, trace_warm = solve(p, config)
+    x_fresh, y_fresh, trace_fresh = solve(fresh, config)
+    assert trace_fresh.termination == "feasibility_tol"
+    assert x_warm.data.tobytes() == x_fresh.data.tobytes()
+    assert y_warm.data.tobytes() == y_fresh.data.tobytes()
+    assert list(trace_warm.records) == list(trace_fresh.records)
+
+
+def test_threads_sharing_one_dense_get_the_sequential_bits():
+    # Four solves with different right-hand sides, hence different supports,
+    # share one Dense; a short switch interval interleaves their iterations.
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((60, 250)) / np.sqrt(60)
+    op = Dense(a)
+    problems = [_sparse_l1(op, rng, 6) for _ in range(4)]
+    config = SolveConfig(primal_tol=1e-8)
+
+    def bits(p):
+        x, y, trace = solve(p, config)
+        assert trace.termination == "feasibility_tol"
+        return x.data.tobytes(), y.data.tobytes()
+
+    want = [bits(p) for p in problems]
+    got = [None] * len(problems)
+
+    def work(i):
+        got[i] = bits(problems[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(problems))]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
 _SMALL_SPECS = [
     dict(kind="aug_l1", seed=3, m=10, n=30, k=2),
     dict(kind="matrix_completion", seed=3, rows=6, cols=5, rank=1, p=0.8),
@@ -293,7 +361,7 @@ def _small_problem(spec):
 @pytest.mark.parametrize("accelerated", [False, True], ids=["plain", "accelerated"])
 @pytest.mark.parametrize("spec", _SMALL_SPECS, ids=lambda spec: spec["kind"])
 def test_solve_builds_a_fixed_number_of_points(spec, accelerated, monkeypatch):
-    # The loop runs on arrays through _apply_normal and _adjoint; the only
+    # The loop runs on arrays through the normal map and _adjoint; the only
     # Points a solve builds, whatever its iteration count, are the returned
     # pair (x, y).
     p = _small_problem(spec)
