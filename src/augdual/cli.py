@@ -229,7 +229,7 @@ def load_instance(path) -> Tuple[object, Point]:
         model = MatrixCompletionModel(SamplingMask(meta["shape"], meta["omega"]), values)
         return model, Point.matrix(load("M0"))
     if kind == "rpca":
-        model = RpcaModel(D=load("D"), lam=float(meta["lam"]))
+        model = RpcaModel(D=load("D"), lam=meta["lam"])
         return model, Point.pair(load("L0"), load("S0"))
     raise ValueError(f"unknown stored model kind {kind!r}")
 

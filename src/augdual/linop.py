@@ -15,9 +15,10 @@ x -> (Ax, A*Ax) that one solve applies to its iterates. The solver loop runs
 on these maps; ``apply``/``adjoint`` are their checked forms, which check a
 Point's shape and wrap the result. Three operator variants are supported:
 
-* Dense: an explicit matrix, final and its only state (on a sparse x the
-  forward map reads only the support columns, and the normal map of a
-  solve keeps them and the Gram rows of the support, which give A*Ax);
+* Dense: an explicit matrix, final and its only state. On a sparse x (fewer
+  than m nonzeros, and at most SPARSE_APPLY_FRACTION of x) the forward map
+  reads only the support columns, and the normal map of a solve keeps them
+  and the Gram rows of the support, which give A*Ax;
 * SamplingMask: element selection at an index set Omega, mapping a matrix
   to the compact vector of sampled entries (adjoint zero-fills);
 * BlockSum: (L, S) -> L + S, whose adjoint duplicates.
@@ -31,8 +32,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-# Dense.apply multiplies only the columns on the support of x when at most
-# this fraction of x is nonzero. Gathering those columns costs O(m * nnz(x))
+# Dense works on the support of x when fewer than m and at most this
+# fraction of x is nonzero. Gathering the support columns costs O(m * nnz(x))
 # and breaks even with the full product near n/9 to n/8 (300x1400 and
 # 1400x300, one BLAS thread); linearized-Bregman iterates are far sparser.
 SPARSE_APPLY_FRACTION = 0.08
@@ -56,8 +57,8 @@ class Point:
     data: np.ndarray
 
     def __post_init__(self):
-        # A fresh view, so freezing it leaves the caller's array writable.
-        arr = np.ascontiguousarray(self.data, dtype=float).view()
+        # A copy: later writes to the caller's array (left writable) cannot reach it.
+        arr = np.array(self.data, dtype=float, order="C")
         if not (arr.ndim in (1, 2) or (arr.ndim == 3 and arr.shape[0] == 2)):
             raise ValueError(f"point shape {arr.shape} is not (n,), (r, c) or (2, r, c)")
         if not np.isfinite(arr).all():
@@ -128,56 +129,47 @@ class LinearOperator:
         return normal
 
 
-def _sparse_support(x: np.ndarray) -> Optional[np.ndarray]:
-    """The sorted support of x when at most SPARSE_APPLY_FRACTION of x is
-    nonzero, else None. Searching the boolean x != 0 finds the same support
-    (-0.0 and NaN included) in about half the time of searching x itself."""
+def _sparse_support(x: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """The sorted support of x when x is sparse for an m-row Dense: fewer than
+    m nonzeros and at most SPARSE_APPLY_FRACTION of x; else None. Searching
+    the boolean x != 0 finds the same support (-0.0 and NaN included) in
+    about half the time of searching x itself."""
     nz = np.flatnonzero(x != 0)
-    return None if nz.size > SPARSE_APPLY_FRACTION * x.size else nz
+    return nz if nz.size < m and nz.size <= SPARSE_APPLY_FRACTION * x.size else None
 
 
 class _SupportBlocks:
     """The normal map of a Dense for one solve. On a sparse x with support S,
-    Ax comes from the columns A[:, S] and, when nnz(x) < m, A*Ax from the
-    Gram rows (A*A)[S]: O(n * nnz(x)) against O(m * n) for the adjoint. Each
-    block is kept until a call brings another support (a sorted index array).
-    A new Gram block copies the rows it shares with the old one and computes
-    each other row A*a_j by one matrix-vector product, so a row's bits never
-    depend on which supports came before."""
+    Ax comes from the columns A[:, S] and A*Ax from the Gram rows (A*A)[S]:
+    O(n * nnz(x)) against O(m * n) for the adjoint. Both blocks are kept
+    until a call brings another support. A new Gram block takes the rows it
+    shares with the old one by index and computes each other row A*a_j by
+    one matrix-vector product, so a row's bits never depend on which
+    supports came before."""
 
     def __init__(self, op: Dense):
         self._op = op
-        none = np.zeros(0, dtype=np.intp)
-        self._columns = (none, op.matrix[:, none])
-        self._gram = (none, np.zeros((0, op.matrix.shape[1])))
+        self._support = np.zeros(0, dtype=np.intp)
+        self._columns = op.matrix[:, self._support]
+        self._gram = np.zeros((0, op.matrix.shape[1]))
 
     def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        nz = _sparse_support(x)
-        if nz is None:
-            ax = self._op.matrix @ x
-        else:
-            x_nz = x[nz]
-            if nz.tobytes() != self._columns[0].tobytes():
-                self._columns = (nz, self._op.matrix[:, nz])
-            ax = self._columns[1] @ x_nz
-            if nz.size < self._op.matrix.shape[0]:
-                return ax, x_nz @ self._gram_of(nz)
-        return ax, self._op._adjoint(ax)
-
-    def _gram_of(self, support: np.ndarray) -> np.ndarray:
-        old, rows = self._gram
-        if support.tobytes() == old.tobytes():
-            return rows
         matrix = self._op.matrix
-        block = np.empty((support.size, matrix.shape[1]))
-        if old.size:
-            # An unbuffered take (no temporary block); the rows it puts at
-            # indices new to the support are replaced below.
-            np.take(rows, np.searchsorted(old, support), axis=0, out=block, mode="clip")
-        for i in np.flatnonzero(~np.isin(support, old, assume_unique=True)):
-            block[i] = matrix.T @ matrix[:, support[i]]
-        self._gram = (support, block)
-        return block
+        nz = _sparse_support(x, matrix.shape[0])
+        if nz is None:
+            ax = matrix @ x
+            return ax, self._op._adjoint(ax)
+        if nz.tobytes() != self._support.tobytes():
+            # The old columns go before the new block is built, and each new
+            # row goes straight into it: both keep the peak memory down.
+            self._columns = matrix[:, nz]
+            kept = dict(zip(self._support.tolist(), self._gram))
+            gram = np.empty((nz.size, matrix.shape[1]))
+            for i, j in enumerate(nz.tolist()):
+                gram[i] = kept[j] if j in kept else matrix.T @ matrix[:, j]
+            self._support, self._gram = nz, gram
+        x_nz = x[nz]
+        return self._columns @ x_nz, x_nz @ self._gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +205,7 @@ class Dense(LinearOperator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Ax; on a sparse x, from the columns on the support only."""
-        nz = _sparse_support(x)
+        nz = _sparse_support(x, self.matrix.shape[0])
         if nz is None:
             return self.matrix @ x
         return self.matrix[:, nz] @ x[nz]

@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import numerics
 from .linop import BlockSum, Dense, Point, SamplingMask
-# Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
-from .prox import NormSpec, soft_threshold, svt
+# svt is patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
+from .prox import NormSpec, dual_ball_project, soft_threshold, svt
 from .solver import ProblemSpec, _is_number
 
 
@@ -96,8 +95,7 @@ class RpcaRegularizer:
         return np.array((svt(v[0], scale), soft_threshold(v[1], scale * self.lam)))
 
     def polar_project(self, v: np.ndarray) -> np.ndarray:
-        res = numerics.svd(v[0])
-        clamped = (res.u * np.minimum(res.s, 1.0)) @ res.v.T
+        clamped = dual_ball_project(NormSpec("nuclear"), v[0])
         return np.array((clamped, np.clip(v[1], -self.lam, self.lam)))
 
 

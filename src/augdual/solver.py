@@ -128,13 +128,13 @@ class TraceRecord:
 
 class SolveTrace:
     """Per-iteration trace, termination reason, and the bound on ||A|| and
-    step h the solve used (None on a trace read back from CSV).
+    step h the solve used (the last three None on a trace read back from CSV).
 
     The columns live in typed buffers (40 bytes per iteration); ``records``
     is a read-only sequence that builds a TraceRecord per row on access.
     """
 
-    def __init__(self, records: Iterable[TraceRecord] = (), termination: str = "max_iter"):
+    def __init__(self, records: Iterable[TraceRecord] = (), termination: Optional[str] = None):
         self.termination = termination
         self.norm_bound: Optional[float] = None
         self.h: Optional[float] = None

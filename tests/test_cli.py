@@ -118,7 +118,8 @@ def test_trace_roundtrip_exact(tmp_path):
     path = tmp_path / "trace.csv"
     emit_trace(trace, path)
     back = read_trace(path)
-    assert back.norm_bound is None and back.h is None
+    # The CSV stores neither the bound, the step nor the termination.
+    assert back.norm_bound is None and back.h is None and back.termination is None
     for a, b in zip(trace.records, back.records):
         assert a.k == b.k
         assert a.primal_residual == b.primal_residual
@@ -321,6 +322,22 @@ def test_main_rejects_a_non_finite_stored_rhs(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and "b must be finite" in err
+
+
+@pytest.mark.parametrize("lam", [[0.4], True, "0.4"], ids=["list", "bool", "string"])
+def test_main_rejects_a_stored_lam_that_is_not_a_number(lam, tmp_path, capsys):
+    # The stored lam reaches RpcaModel as it is: no float() coerces it.
+    spec, tau = GEN_SOLVE_CHECK["rpca"]
+    _write_json(tmp_path / "spec.json", spec)
+    inst = tmp_path / "inst" / "instance.json"
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(inst.parent)]) == EXIT_OK
+    _write_json(inst, {**json.loads(inst.read_text()), "lam": lam})
+    cfg_path = tmp_path / "config.json"
+    _write_json(cfg_path, {"instance_path": "inst/instance.json", "tau": tau})
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"lam must be finite and positive, got {lam!r}" in err
 
 
 def test_main_config_exit_code(tmp_path):

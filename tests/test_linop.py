@@ -44,6 +44,15 @@ def test_point_pair_roundtrip():
     assert np.array_equal(p.data[1], b)
 
 
+def test_point_owns_its_array():
+    # A later write to the caller's array cannot reach the immutable point.
+    a = np.full(4, 2.0)
+    p = Point(a)
+    a[0] = np.nan
+    assert np.array_equal(p.data, np.full(4, 2.0)) and p.norm() == 4.0
+    assert a.flags.writeable and not p.data.flags.writeable
+
+
 def test_point_arithmetic_and_norm():
     # A Point keeps only the difference and the norm, for recovery errors.
     p = Point.vector([3.0, 4.0])
@@ -228,13 +237,13 @@ def test_adjoint_identity_with_sparse_x(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(60, 250), (250, 60), (10, 250)],
                          ids=["wide", "tall", "flat"])
-@pytest.mark.parametrize("which", ["zero", "one", "cutoff", "cutoff+1", "m"])
+@pytest.mark.parametrize("which", ["zero", "one", "cutoff", "cutoff+1", "m-1", "m"])
 def test_dense_apply_normal_matches_adjoint_of_apply(shape, which, monkeypatch):
     rng = np.random.default_rng(17)
     a = rng.standard_normal(shape)
     m, n = shape
     nnz = {"zero": 0, "one": 1, "cutoff": _cutoff(n), "cutoff+1": _cutoff(n) + 1,
-           "m": min(m, n)}[which]
+           "m-1": min(m, n) - 1, "m": min(m, n)}[which]
     x = Point.vector(_sparse_vector(n, nnz, rng))
     op = Dense(a)
     want = op.adjoint(op.apply(x)).data
