@@ -11,11 +11,10 @@ Subcommands:
   stored solution.
 
 Randomness comes from numpy's default PCG64 generator seeded per instance,
-so instances are reproducible bit for bit. Exit codes: 0 success, 2
-configuration error (including a file that cannot be read or written), 3
-suspected infeasible (the residual certifies b outside the range of the
-operator), 4 max_iter without tolerance, 5 numerical failure (an SVD that
-does not converge, or a non-finite iterate or residual).
+so instances are reproducible bit for bit. Exit codes: 2 for a
+configuration error (including a file that cannot be read or written), 5
+for an SVD that does not converge, and for a solve the code that
+``_EXIT_CODES`` gives its termination.
 """
 
 from __future__ import annotations
@@ -54,7 +53,32 @@ EXIT_INFEASIBLE = 3
 EXIT_MAX_ITER = 4
 EXIT_NUMERICAL = 5
 
+_EXIT_CODES = {
+    "feasibility_tol": EXIT_OK,
+    "suspected_infeasible": EXIT_INFEASIBLE,
+    "max_iter": EXIT_MAX_ITER,
+    "numerical_failure": EXIT_NUMERICAL,
+}
+
+# The fields each instance kind reads, besides kind and seed.
+_KIND_FIELDS = {
+    "aug_l1": ("n", "m", "k"),
+    "matrix_completion": ("rows", "cols", "rank", "p"),
+    "rpca": ("rows", "cols", "rank", "k", "lam"),
+}
+
 _FLOAT_FMT = "%.16e"  # 17 significant digits: exact round trip for doubles
+
+
+def _object(value, what: str, known) -> dict:
+    """``value`` when it is a JSON object whose keys all lie in ``known``;
+    otherwise a ConfigurationError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(set(value).difference(known))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {unknown}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,15 +126,12 @@ class InstanceSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "InstanceSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"instance must be an object, got {d!r}")
-        known = {f for f in InstanceSpec.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown instance fields: {sorted(extra)}")
+        _object(d, "instance", InstanceSpec.__dataclass_fields__)
         if "kind" not in d or "seed" not in d:
             raise ValueError("instance needs at least 'kind' and 'seed'")
-        return InstanceSpec(**d)
+        spec = InstanceSpec(**d)  # checks the kind and every field's type
+        _object(d, f"{spec.kind} instance", ("kind", "seed", *_KIND_FIELDS[spec.kind]))
+        return spec
 
 
 def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
@@ -210,7 +231,9 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
 
 
 def load_instance(path) -> Tuple[object, Point]:
-    """Load an instance stored by write_instance."""
+    """Load an instance stored by write_instance. The stored truth must be
+    finite and shaped like the model's domain (each block of an RPCA pair
+    like D); a ConfigurationError names its key and file otherwise."""
     path = Path(path)
     meta = _read_json_object(path, "instance file")
     kind = meta["model"]
@@ -221,16 +244,25 @@ def load_instance(path) -> Tuple[object, Point]:
     def load(key: str) -> np.ndarray:
         return np.loadtxt(path.parent / payload[key], delimiter=",", ndmin=2)
 
+    def truth(key: str, shape: tuple) -> np.ndarray:
+        arr = load(key).ravel() if len(shape) == 1 else load(key)
+        where = f"instance file {path}: {key} ({path.parent / payload[key]})"
+        if arr.shape != shape:
+            raise ConfigurationError(f"{where} has shape {arr.shape}, not {shape}")
+        if not np.isfinite(arr).all():
+            raise ConfigurationError(f"{where} must be finite")
+        return arr
+
     if kind == "aug_l1":
-        A, b, x0 = load("A"), load("b").ravel(), load("x0").ravel()
-        return AugL1Model(A=A, b=b), Point.vector(x0)
+        model = AugL1Model(A=load("A"), b=load("b").ravel())
+        return model, Point.vector(truth("x0", model.A.shape[1:]))
     if kind == "matrix_completion":
         values = load("sampled_values").ravel()
         model = MatrixCompletionModel(SamplingMask(meta["shape"], meta["omega"]), values)
-        return model, Point.matrix(load("M0"))
+        return model, Point.matrix(truth("M0", model.mask.shape))
     if kind == "rpca":
         model = RpcaModel(D=load("D"), lam=meta["lam"])
-        return model, Point.pair(load("L0"), load("S0"))
+        return model, Point.pair(truth("L0", model.D.shape), truth("S0", model.D.shape))
     raise ValueError(f"unknown stored model kind {kind!r}")
 
 
@@ -260,12 +292,6 @@ def read_trace(path) -> SolveTrace:
     return trace
 
 
-def _magnitude_for_rule(model, truth: Point) -> Optional[float]:
-    if isinstance(model, AugL1Model):
-        return float(np.max(np.abs(truth.data)))
-    return None
-
-
 def _tau_number(value):
     """``value`` when it is a number (not a bool), else a ConfigurationError."""
     if not _is_number(value):
@@ -274,19 +300,17 @@ def _tau_number(value):
 
 
 def _tau_from_config(cfg: dict, model, truth) -> float:
-    tau_cfg = cfg.get("tau")
-    if not isinstance(tau_cfg, dict) or ("rule" in tau_cfg) == ("value" in tau_cfg):
+    tau_cfg = _object(cfg.get("tau"), "tau", ("rule", "value"))
+    if ("rule" in tau_cfg) == ("value" in tau_cfg):
         raise ConfigurationError(
             "config field 'tau' must carry exactly one of 'rule' or 'value'"
         )
-    extra = set(tau_cfg) - {"rule", "value"}
-    if extra:
-        raise ConfigurationError(f"unknown tau fields: {sorted(extra)}")
     if "value" in tau_cfg:
         return _tau_number(tau_cfg["value"])
     if tau_cfg["rule"] != "heuristic":
         raise ConfigurationError(f"unknown tau rule {tau_cfg['rule']!r}")
-    return tau_heuristic(model, magnitude=_magnitude_for_rule(model, truth))
+    magnitude = float(np.max(np.abs(truth.data))) if isinstance(model, AugL1Model) else None
+    return tau_heuristic(model, magnitude=magnitude)
 
 
 def _recovery_error(x: Point, truth: Point) -> Optional[float]:
@@ -299,9 +323,7 @@ def _recovery_error(x: Point, truth: Point) -> Optional[float]:
 def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     """Run one experiment from a parsed config; returns (report, exit code)."""
     base = Path(base_dir)
-    extra = set(cfg) - {"instance", "instance_path", "tau", "solve", "output"}
-    if extra:
-        raise ConfigurationError(f"unknown config fields: {sorted(extra)}")
+    _object(cfg, "config", ("instance", "instance_path", "tau", "solve", "output"))
     if ("instance" in cfg) == ("instance_path" in cfg):
         raise ConfigurationError(
             "config must carry exactly one of 'instance' or 'instance_path'"
@@ -313,25 +335,14 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     else:
         raise ConfigurationError("config field 'instance_path' must be a path string")
 
-    tau = _tau_from_config(cfg, model, truth)
-    model = _with_tau(model, tau)
-    problem = build_problem(model)
-
-    solve_cfg = cfg.get("solve", {})
-    if not isinstance(solve_cfg, dict):
-        raise ConfigurationError(f"config field 'solve' must be an object, got {solve_cfg!r}")
-    extra = set(solve_cfg) - {"h", "max_iter", "primal_tol", "accelerated"}
-    if extra:
-        raise ConfigurationError(f"unknown solve fields: {sorted(extra)}")
-    config = SolveConfig(**solve_cfg)
-    out_cfg = cfg.get("output", {})
-    if not (isinstance(out_cfg, dict) and all(isinstance(v, str) for v in out_cfg.values())):
+    problem = build_problem(dataclasses.replace(model, tau=_tau_from_config(cfg, model, truth)))
+    solve_fields = ("h", "max_iter", "primal_tol", "accelerated")
+    config = SolveConfig(**_object(cfg.get("solve", {}), "solve", solve_fields))
+    out_cfg = _object(cfg.get("output", {}), "output", ("trace", "report", "solution"))
+    if not all(isinstance(v, str) for v in out_cfg.values()):
         raise ConfigurationError(
             f"config field 'output' must map names to file paths, got {out_cfg!r}"
         )
-    extra = set(out_cfg) - {"trace", "report", "solution"}
-    if extra:
-        raise ConfigurationError(f"unknown output fields: {sorted(extra)}")
 
     start = time.perf_counter()
     x, y, trace = solve(problem, config)
@@ -339,7 +350,8 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     report_kkt = kkt_residual(problem, x, y)
 
     report = {
-        "model": cfg["instance"]["kind"] if "instance" in cfg else _model_kind(model),
+        "model": {AugL1Model: "aug_l1", MatrixCompletionModel: "matrix_completion",
+                  RpcaModel: "rpca"}[type(model)],
         "n_iter": len(trace.records),
         "termination": trace.termination,
         "primal_residual": trace.records[-1].primal_residual,
@@ -366,25 +378,7 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         })
     print(f"solved in {len(trace.records)} iterations ({wall_ms:.1f} ms), "
           f"termination={trace.termination}")
-    if trace.termination == "suspected_infeasible":
-        return report, EXIT_INFEASIBLE
-    if trace.termination == "max_iter":
-        return report, EXIT_MAX_ITER
-    if trace.termination == "numerical_failure":
-        return report, EXIT_NUMERICAL
-    return report, EXIT_OK
-
-
-def _with_tau(model, tau: float):
-    return dataclasses.replace(model, tau=tau)
-
-
-def _model_kind(model) -> str:
-    return {
-        "AugL1Model": "aug_l1",
-        "MatrixCompletionModel": "matrix_completion",
-        "RpcaModel": "rpca",
-    }[type(model).__name__]
+    return report, _EXIT_CODES[trace.termination]
 
 
 def main(argv=None) -> int:
@@ -419,7 +413,7 @@ def main(argv=None) -> int:
         # check: the stored solution holds flat lists
         model, _ = load_instance(args.problem)
         sol = _read_json_object(args.solution, "solution")
-        problem = build_problem(_with_tau(model, _tau_number(sol["tau"])))
+        problem = build_problem(dataclasses.replace(model, tau=_tau_number(sol["tau"])))
         x = Point(np.asarray(sol["x"]).reshape(problem.op.domain_shape))
         y = Point(np.asarray(sol["y"]).reshape(problem.op.codomain_shape))
         rep = kkt_residual(problem, x, y)

@@ -362,6 +362,10 @@ def estimated_bound(p: ProblemSpec) -> float:
     eigenvalue of its explicit smaller Gram matrix) and a Lanczos lower
     estimate otherwise; neither is a certified bound. It is resolved through
     the numerics module at call time, so a patched
-    numerics.operator_norm_estimate is seen here too.
+    numerics.operator_norm_estimate is seen here too. A zero estimate is a
+    ConfigurationError: a zero operator admits no step.
     """
-    return numerics.operator_norm_estimate(p.op) * 1.01
+    estimate = numerics.operator_norm_estimate(p.op)
+    if estimate == 0.0:
+        raise ConfigurationError("the operator is zero: its estimated norm is 0")
+    return estimate * 1.01

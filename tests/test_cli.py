@@ -8,6 +8,7 @@ import pytest
 from augdual import cli, numerics
 from augdual.cli import (
     EXIT_CONFIG,
+    EXIT_INFEASIBLE,
     EXIT_MAX_ITER,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -58,6 +59,9 @@ def test_instance_spec_validation():
             InstanceSpec.from_dict(bad)
     with pytest.raises(ValueError, match="object"):
         InstanceSpec.from_dict([("kind", "aug_l1")])
+    for bad in ({**L1_SPEC, "rows": 3}, {**mc, "k": 10}, {**RPCA_SPEC, "n": 4}):
+        with pytest.raises(ValueError, match=f"unknown {bad['kind']} instance fields"):
+            InstanceSpec.from_dict(bad)
     assert InstanceSpec.from_dict({**mc, "p": 1}).p == 1
 
 
@@ -397,6 +401,12 @@ _BAD_FIELDS = {
     "instance_seed_string": ({"instance": {**L1_SPEC, "seed": "1"}}, "'seed'"),
     "lam_nan": ({"instance": {**RPCA_SPEC, "lam": math.nan}, "tau": {"value": 50}}, "lam"),
     "lam_inf": ({"instance": {**RPCA_SPEC, "lam": math.inf}, "tau": {"value": 50}}, "lam"),
+    # Fields another kind reads: a completion's k would not bound its samples.
+    "l1_rows": ({"instance": {**L1_SPEC, "rows": 3}}, "'rows'"),
+    "l1_lam": ({"instance": {**L1_SPEC, "lam": 0.5}}, "'lam'"),
+    "completion_k": ({"instance": {"kind": "matrix_completion", "seed": 0, "rows": 5,
+                                   "cols": 6, "rank": 1, "k": 10}}, "'k'"),
+    "rpca_p": ({"instance": {**RPCA_SPEC, "p": 0.5}, "tau": {"value": 50}}, "'p'"),
 }
 
 
@@ -504,6 +514,60 @@ def test_main_names_a_key_missing_from_a_stored_solution(key, tmp_path, capsys):
     capsys.readouterr()
     assert main(args["check"]) == EXIT_CONFIG
     assert f"solution {sol_path} has no {key!r} field" in capsys.readouterr().err
+
+
+_BAD_TRUTH = {
+    "nan": lambda values: ["nan"] + values[1:],
+    "short": lambda values: values[:-1],
+}
+
+
+@pytest.mark.parametrize("edit", _BAD_TRUTH.values(), ids=_BAD_TRUTH)
+def test_main_checks_the_stored_truth_before_the_solve(edit, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    x0 = tmp_path / "inst" / "x0.csv"
+    x0.write_text(",".join(edit(x0.read_text().strip().split(","))) + "\n")
+    for command in ("solve", "check"):
+        capsys.readouterr()
+        assert main(args[command]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert "configuration error" in out.err and f"x0 ({x0})" in out.err
+        assert "solved in" not in out.out
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_main_names_a_stored_zero_operator(b, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    inst = tmp_path / "inst"
+    A = np.loadtxt(inst / "A.csv", delimiter=",", ndmin=2)
+    np.savetxt(inst / "A.csv", np.zeros_like(A), delimiter=",")
+    np.savetxt(inst / "b.csv", np.full((1, A.shape[0]), b), delimiter=",")
+    capsys.readouterr()
+    assert main(args["solve"]) == EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "configuration error: the operator is zero" in out.err
+    assert "solved in" not in out.out
+
+
+def test_main_inconsistent_data_is_infeasible_exit(tmp_path, capsys):
+    # x1 = 1 and x1 = -1 at once: b = (1, -1) lies outside range(A), A = (1, 1)^T.
+    inst = tmp_path / "inst"
+    inst.mkdir()
+    (inst / "A.csv").write_text("1\n1\n")
+    (inst / "b.csv").write_text("1,-1\n")
+    (inst / "x0.csv").write_text("0\n")
+    _write_json(inst / "instance.json", {
+        "model": "aug_l1", "payload": {"A": "A.csv", "b": "b.csv", "x0": "x0.csv"},
+    })
+    _write_json(tmp_path / "config.json", {
+        "instance_path": "inst/instance.json", "tau": {"value": 1.0},
+        "output": {"report": "report.json"},
+    })
+    assert main(["solve", "--config", str(tmp_path / "config.json")]) == EXIT_INFEASIBLE
+    assert "termination=suspected_infeasible" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["termination"] == "suspected_infeasible"
+    assert report["recovery_error"] is None
 
 
 def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):

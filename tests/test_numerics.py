@@ -156,7 +156,7 @@ def test_lanczos_zero_operator_is_a_configuration_error():
     op = Dense(np.zeros((3, 4)))
     assert lanczos_norm(op) == (0.0, True, 1)
     p = ProblemSpec(op, Point.vector(np.zeros(3)), NormSpec("l1"), 1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="operator is zero"):
         solve(p, SolveConfig())
 
 
