@@ -230,10 +230,28 @@ def write_instance(spec: InstanceSpec, out_dir) -> Path:
     return path
 
 
+def _stored_array(source, where: str, shape=None, match: str = "") -> np.ndarray:
+    """``source`` (a JSON list or a CSV file's path) as a finite float array,
+    flat when ``shape`` is 1-D and of ``shape`` when one is given (``match``
+    says whence); a ConfigurationError that names ``where`` otherwise."""
+    try:
+        arr = (np.loadtxt(source, delimiter=",", ndmin=2) if isinstance(source, Path)
+               else np.asarray(source, dtype=float))
+    except (TypeError, ValueError) as exc:  # a ragged row, or no numbers
+        raise ConfigurationError(f"{where}: {exc}") from exc
+    if shape is not None:
+        arr = arr.ravel() if len(shape) == 1 else arr
+        if arr.shape != shape:
+            raise ConfigurationError(f"{where} has shape {arr.shape}, not {shape}{match}")
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{where} must be finite")
+    return arr
+
+
 def load_instance(path) -> Tuple[object, Point]:
-    """Load an instance stored by write_instance. The stored truth must be
-    finite and shaped like the model's domain (each block of an RPCA pair
-    like D); a ConfigurationError names its key and file otherwise."""
+    """Load an instance stored by write_instance. Every stored array must be
+    finite and fit the others (the truth the model's domain, b the rows of
+    A); a ConfigurationError names its key and file otherwise."""
     path = Path(path)
     meta = _read_json_object(path, "instance file")
     kind = meta["model"]
@@ -241,28 +259,23 @@ def load_instance(path) -> Tuple[object, Point]:
     if not (isinstance(payload, dict) and all(isinstance(v, str) for v in payload.values())):
         raise ConfigurationError(f"instance file {path}: 'payload' must map names to file paths")
 
-    def load(key: str) -> np.ndarray:
-        return np.loadtxt(path.parent / payload[key], delimiter=",", ndmin=2)
-
-    def truth(key: str, shape: tuple) -> np.ndarray:
-        arr = load(key).ravel() if len(shape) == 1 else load(key)
-        where = f"instance file {path}: {key} ({path.parent / payload[key]})"
-        if arr.shape != shape:
-            raise ConfigurationError(f"{where} has shape {arr.shape}, not {shape}")
-        if not np.isfinite(arr).all():
-            raise ConfigurationError(f"{where} must be finite")
-        return arr
+    def load(key: str, shape=None, like: str = "") -> np.ndarray:
+        """The array stored under ``key``; the one under ``like`` gave ``shape``."""
+        match = like and f" to match {like} ({path.parent / payload[like]})"
+        file = path.parent / payload[key]
+        return _stored_array(file, f"instance file {path}: {key} ({file})", shape, match)
 
     if kind == "aug_l1":
-        model = AugL1Model(A=load("A"), b=load("b").ravel())
-        return model, Point.vector(truth("x0", model.A.shape[1:]))
+        A = load("A")
+        model = AugL1Model(A=A, b=load("b", A.shape[:1], "A"))
+        return model, Point.vector(load("x0", A.shape[1:], "A"))
     if kind == "matrix_completion":
-        values = load("sampled_values").ravel()
-        model = MatrixCompletionModel(SamplingMask(meta["shape"], meta["omega"]), values)
-        return model, Point.matrix(truth("M0", model.mask.shape))
+        mask = SamplingMask(meta["shape"], meta["omega"])
+        model = MatrixCompletionModel(mask, load("sampled_values", mask.indices.shape[:1]))
+        return model, Point.matrix(load("M0", mask.shape))
     if kind == "rpca":
         model = RpcaModel(D=load("D"), lam=meta["lam"])
-        return model, Point.pair(truth("L0", model.D.shape), truth("S0", model.D.shape))
+        return model, Point.pair(*(load(key, model.D.shape, "D") for key in ("L0", "S0")))
     raise ValueError(f"unknown stored model kind {kind!r}")
 
 
@@ -414,8 +427,9 @@ def main(argv=None) -> int:
         model, _ = load_instance(args.problem)
         sol = _read_json_object(args.solution, "solution")
         problem = build_problem(dataclasses.replace(model, tau=_tau_number(sol["tau"])))
-        x = Point(np.asarray(sol["x"]).reshape(problem.op.domain_shape))
-        y = Point(np.asarray(sol["y"]).reshape(problem.op.codomain_shape))
+        shapes = (("x", problem.op.domain_shape), ("y", problem.op.codomain_shape))
+        x, y = (Point(_stored_array(sol[key], f"solution {args.solution}: {key}",
+                                    (math.prod(shape),)).reshape(shape)) for key, shape in shapes)
         rep = kkt_residual(problem, x, y)
         print(
             f"feasibility={rep.feasibility:.3e} "

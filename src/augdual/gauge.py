@@ -1,15 +1,15 @@
-"""Gauges, polar sets, and polar gauges.
+"""Gauges and their polar sets.
 
 A gauge is described by one of two variants:
 
 * NormGauge: a catalog norm viewed as the gauge of its unit ball;
   DiagWeighted(w), x -> sum w_i |x_i| with strictly positive weights, is
-  the NormGauge of the weighted l1 norm;
+  the NormGauge of the weighted l1 norm. A NormGauge's polar gauge is its
+  dual norm, prox.dual_norm_value;
 * PolyhedralPolar: the polar set is given directly as conv(V + {0}) for a
   finite vertex list V. The gauge itself is then the support function of
-  that polytope, projections onto it run a Wolfe-type min-norm-point
-  active-set iteration over the vertices, and its polar gauge is a linear
-  program over conic combinations of the vertices (+inf off their cone).
+  that polytope, and projections onto it run a Wolfe-type min-norm-point
+  active-set iteration over the vertices.
 
 The generalized Moreau decomposition v = gauge_prox(v) + polar_project(v)
 turns the polar projection into a prox for arbitrary gauges. Each variant
@@ -22,13 +22,12 @@ d entries of an array of any shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .prox import NormSpec, dual_ball_project, dual_norm_value, norm_value
+from .prox import NormSpec, dual_ball_project, norm_value
 
 DEFAULT_TOL = 1e-10
 MAX_MNP_ITER = 10_000
@@ -108,32 +107,6 @@ def gauge_eval(g: GaugeSpec, x: np.ndarray) -> float:
         return norm_value(g.norm, x)
     _check_dim(g, x, g.vertices.shape[1])
     return max(0.0, float(np.max(g.vertices @ x.ravel())))
-
-
-def polar_gauge_eval(g: GaugeSpec, u: np.ndarray) -> float:
-    """Value of the polar gauge (the gauge of C°); may be +inf when u lies
-    outside every dilation of C°."""
-    if isinstance(g, NormGauge):
-        return dual_norm_value(g.norm, u)
-    _check_dim(g, u, g.vertices.shape[1])
-    return _polyhedral_polar_gauge(g, u.ravel())
-
-
-def _polyhedral_polar_gauge(g: PolyhedralPolar, u: np.ndarray) -> float:
-    """gamma_{C°}(u) = min sum(alpha) s.t. V^T alpha = u, alpha >= 0: the
-    least total weight that writes u as a conic combination of the
-    vertices. The LP is infeasible, and the gauge +inf, off cone(V)."""
-    # Imported here: the solve path never evaluates a polar gauge.
-    from scipy.optimize import linprog
-
-    verts = g.vertices
-    res = linprog(np.ones(verts.shape[0]), A_eq=verts.T, b_eq=u, bounds=(0.0, None),
-                  method="highs")
-    if res.status == 2:
-        return math.inf
-    if res.status != 0:
-        raise RuntimeError(f"polar gauge LP failed: {res.message}")
-    return float(res.fun)
 
 
 def _affine_minimizer(pts: np.ndarray):

@@ -103,7 +103,10 @@ def _dual_feasible(A: np.ndarray, support, c: np.ndarray) -> bool:
         return False
     if np.max(np.abs(A[:, free].T @ y)) <= 1.0 + _DUAL_SLACK:
         return True
-    from scipy.optimize import linprog
+    try:
+        from scipy.optimize import linprog
+    except ImportError as exc:
+        raise ImportError("l1_exact_solve needs scipy: pip install 'augdual[test]'") from exc
 
     m = A.shape[0]
     nfree = len(free)

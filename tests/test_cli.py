@@ -325,7 +325,7 @@ def test_main_rejects_a_non_finite_stored_rhs(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "configuration error" in err and "b must be finite" in err
+    assert "configuration error" in err and f"b ({inst / 'b.csv'}) must be finite" in err
 
 
 @pytest.mark.parametrize("lam", [[0.4], True, "0.4"], ids=["list", "bool", "string"])
@@ -532,6 +532,36 @@ def test_main_checks_the_stored_truth_before_the_solve(edit, tmp_path, capsys):
         assert main(args[command]) == EXIT_CONFIG
         out = capsys.readouterr()
         assert "configuration error" in out.err and f"x0 ({x0})" in out.err
+        assert "solved in" not in out.out
+
+
+_BAD_STORED_ARRAYS = {
+    # case: (key, file, edit of the file's lines or of the stored list)
+    "A_nan": ("A", "inst/A.csv", lambda rows: ["nan," + rows[0].split(",", 1)[1], *rows[1:]]),
+    "A_one_row_short": ("A", "inst/A.csv", lambda rows: rows[:-1]),
+    "A_ragged_row": ("A", "inst/A.csv", lambda rows: [rows[0], rows[1].rsplit(",", 1)[0],
+                                                      *rows[2:]]),
+    "x_one_short": ("x", "solution.json", lambda x: x[:-1]),
+    "y_nan": ("y", "solution.json", lambda y: [math.nan, *y[1:]]),
+}
+
+
+@pytest.mark.parametrize("key, name, edit", _BAD_STORED_ARRAYS.values(), ids=_BAD_STORED_ARRAYS)
+def test_main_names_the_key_and_file_of_a_bad_stored_array(key, name, edit, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    path = tmp_path / name
+    if name.endswith(".csv"):
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        commands, named = ("solve", "check"), f"{key} ({path})"
+    else:
+        sol = json.loads(path.read_text())
+        _write_json(path, {**sol, key: edit(sol[key])})
+        commands, named = ("check",), f"solution {path}: {key}"
+    for command in commands:
+        capsys.readouterr()
+        assert main(args[command]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert "configuration error" in out.err and named in out.err
         assert "solved in" not in out.out
 
 

@@ -404,17 +404,29 @@ def test_duck_typed_regularizer_matches_the_catalog_l1(accelerated):
     assert list(trace_duck.records) == list(trace.records)
 
 
+def _run_python(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on this package's source."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# The 10x40 aug_l1 instance takes the Gram-matrix norm, the 10x30 one Lanczos.
+_SCIPY_FREE_SPECS = _SMALL_SPECS + [dict(kind="aug_l1", seed=3, m=10, n=40, k=2)]
+
+
 def test_solve_path_imports_no_scipy():
     # numpy alone carries generate -> tau -> build -> solve; scipy would add
     # tens of MB to every solving process. A fresh interpreter shows what the
-    # path imports. The 10x40 aug_l1 instance takes the Gram-matrix norm.
-    specs = _SMALL_SPECS + [dict(kind="aug_l1", seed=3, m=10, n=40, k=2)]
-    script = f"""
+    # path imports.
+    _run_python(f"""
 import dataclasses, sys
 from augdual.cli import InstanceSpec, generate_instance
 from augdual.models import build_problem, tau_heuristic
 from augdual.solver import SolveConfig, solve
-for spec in {specs!r}:
+for spec in {_SCIPY_FREE_SPECS!r}:
     model, truth = generate_instance(InstanceSpec(**spec))
     magnitude = max(abs(truth.data.ravel())) if spec["kind"] == "aug_l1" else None
     p = build_problem(dataclasses.replace(model, tau=tau_heuristic(model, magnitude)))
@@ -423,12 +435,44 @@ for spec in {specs!r}:
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 if loaded:
     sys.exit(f"the solve path imported {{loaded}}")
-"""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+""")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy's import blocked,
+    # gen, solve and check exit 0 on every kind, plain and accelerated. Only
+    # the exact l1 reference solver needs scipy (its LP), and says so.
+    _run_python(f"""
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+import numpy as np
+from augdual.cli import main
+from augdual.oracle import l1_exact_solve
+for i, spec in enumerate({_SCIPY_FREE_SPECS!r}):
+    for accelerated in (False, True):
+        out = Path({str(tmp_path)!r}) / f"{{i}}{{accelerated}}"
+        out.mkdir()
+        (out / "spec.json").write_text(json.dumps(spec))
+        (out / "config.json").write_text(json.dumps({{
+            "instance_path": "inst/instance.json", "tau": {{"rule": "heuristic"}},
+            "solve": {{"accelerated": accelerated}}, "output": {{"solution": "solution.json"}},
+        }}))
+        for argv in (["gen", "--spec", out / "spec.json", "--out", out / "inst"],
+                     ["solve", "--config", out / "config.json"],
+                     ["check", "--problem", out / "inst" / "instance.json",
+                      "--solution", out / "solution.json"]):
+            code = main([str(arg) for arg in argv])
+            if code != 0:
+                sys.exit(f"{{argv}} exited {{code}}")
+rng = np.random.default_rng(0)
+try:
+    l1_exact_solve(rng.standard_normal((3, 8)), rng.standard_normal(3), 1.0)
+except ImportError as exc:
+    assert "augdual[test]" in str(exc), exc
+else:
+    sys.exit("l1_exact_solve did not need its LP")
+""")
 
 
 @pytest.mark.parametrize("spec", _SMALL_SPECS[1:], ids=lambda spec: spec["kind"])
