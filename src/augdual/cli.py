@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -235,9 +236,14 @@ def _stored_array(source, where: str, shape=None, match: str = "") -> np.ndarray
     flat when ``shape`` is 1-D and of ``shape`` when one is given (``match``
     says whence); a ConfigurationError that names ``where`` otherwise."""
     try:
-        arr = (np.loadtxt(source, delimiter=",", ndmin=2) if isinstance(source, Path)
-               else np.asarray(source, dtype=float))
-    except (TypeError, ValueError) as exc:  # a ragged row, or no numbers
+        with warnings.catch_warnings():
+            # numpy only warns on a file without numbers; here it is an error.
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            arr = (np.loadtxt(source, delimiter=",", ndmin=2) if isinstance(source, Path)
+                   else np.asarray(source, dtype=float))
+    except UserWarning as exc:
+        raise ConfigurationError(f"{where} holds no numbers") from exc
+    except (TypeError, ValueError) as exc:  # a ragged row, or text that is no number
         raise ConfigurationError(f"{where}: {exc}") from exc
     if shape is not None:
         arr = arr.ravel() if len(shape) == 1 else arr

@@ -1,8 +1,11 @@
 """Dense linear-algebra kernels: thin SVD and operator-norm estimation.
 
-The SVD is LAPACK's divide-and-conquer routine (``np.linalg.svd``) plus a
-relative clamp of negligible singular values, so rank decisions in the
-singular-value thresholding loop are stable. The operator norm ||A|| of a
+The full SVD is LAPACK's divide-and-conquer routine (``np.linalg.svd``) plus
+a relative clamp of negligible singular values, so rank decisions are
+stable. With a floor t, ``svd(m, floor=t)`` returns only the k triplets
+whose singular value is above t (singular value thresholding needs no
+others), from one LAPACK ``eigh`` of the small Gram matrix of m, unless m
+is too large against t for that to be accurate. The operator norm ||A|| of a
 wide or tall Dense is the square root of the top eigenvalue of its explicit
 smaller Gram matrix (LAPACK); every other operator gets a Lanczos estimate
 on the smaller of A A* and A* A, which needs only the forward and adjoint
@@ -36,10 +39,17 @@ _LANCZOS_RTOL = 1e-12
 _LANCZOS_MAX_STEPS = 5000
 
 
+# svd(m, floor=t) takes the Gram route only while s_max^2 / t^2 is at most
+# this (see svd for the error bound it gives); larger ratios get LAPACK.
+GRAM_SVD_RATIO = 1e4
+
+
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD m = u @ diag(s) @ v.T with orthonormal u, v columns and
-    s sorted nonincreasing."""
+    """Thin SVD triplets: u is r-by-k and v is c-by-k with orthonormal
+    columns, and s holds k values sorted nonincreasing. From the full SVD,
+    k = min(r, c) and m = u @ diag(s) @ v.T; from ``svd(m, floor=t)``, k is
+    the kept count and the triplets are those of m with s > t."""
 
     u: np.ndarray
     s: np.ndarray
@@ -49,23 +59,58 @@ class SvdResult:
         return (self.u * self.s) @ self.v.T
 
 
-def svd(m) -> SvdResult:
-    """Thin SVD of a dense matrix via LAPACK.
+def svd(m, floor: float | None = None) -> SvdResult:
+    """Thin SVD of a dense matrix, or only its triplets above ``floor``.
 
-    For an r-by-c input, u is r-by-k and v is c-by-k with k = min(r, c).
-    Singular values below RANK_CLAMP times the largest are set to zero.
-    Raises ValueError on non-finite input and np.linalg.LinAlgError (a
-    ValueError subclass) when LAPACK does not converge.
+    Without a floor: LAPACK's SVD; for an r-by-c input, u is r-by-k and v is
+    c-by-k with k = min(r, c), and singular values below RANK_CLAMP times
+    the largest are set to zero.
+
+    With ``floor=t`` (t > 0): only the k triplets with s > t, k from 0 to
+    min(r, c). Let a be m/t or m.T/t, whichever is tall, and G = a.T @ a.
+    One LAPACK ``eigh`` of G gives them: s = t*sqrt(lambda) for the
+    eigenvalues lambda > 1, v their eigenvectors and u = a v / sqrt(lambda)
+    (u and v swap for a wide m). This holds while R = lambda_max(G) =
+    s_max^2 / t^2 is at most GRAM_SVD_RATIO. The computed eigenvalues are
+    those of G up to c*eps*R, c a low-degree polynomial in the dimensions
+    (the Gram product's rounding and eigh's backward error), so each kept s
+    is within c*eps*sqrt(R)/2 * s_max of the true value, and the columns of
+    u are orthonormal within c*eps*R (about c * 2.2e-12 at the cap). Every
+    kept s is above s_max / sqrt(R), so RANK_CLAMP never applies. For a
+    larger R the triplets above t come from the LAPACK SVD unchanged; an
+    entry of m above sqrt(GRAM_SVD_RATIO) * t (s_max is at least every
+    |m_ij|) sends m there before G is formed, so G never overflows.
+
+    Raises ValueError on non-finite input or a floor that is not positive,
+    and np.linalg.LinAlgError (a ValueError subclass) when LAPACK does not
+    converge.
     """
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2:
         raise ValueError("svd needs a 2-D matrix")
-    if not np.isfinite(mat).all():
+    if floor is not None and not floor > 0:
+        raise ValueError(f"svd floor must be positive, got {floor!r}")
+    # The largest |m_ij|; NaN when one is NaN.
+    peak = np.abs(mat).max(initial=0.0)
+    if not peak < math.inf:
         raise ValueError("svd input must be finite")
+    if floor is not None and peak <= math.sqrt(GRAM_SVD_RATIO) * floor:
+        # Scaled by 1/t, G cannot underflow where it matters: a kept
+        # eigenvalue is above 1.
+        wide = mat.shape[0] < mat.shape[1]
+        a = (mat.T if wide else mat) / floor
+        lam, vecs = np.linalg.eigh(a.T @ a)
+        if lam[-1] <= GRAM_SVD_RATIO:
+            root = np.sqrt(lam[lam.searchsorted(1.0, side="right"):][::-1])
+            v = vecs[:, vecs.shape[1] - root.size:][:, ::-1]
+            u = (a @ v) / root
+            s = root * floor
+            return SvdResult(u=v, s=s, v=u) if wide else SvdResult(u=u, s=s, v=v)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if s[0] > 0:
         s = np.where(s < RANK_CLAMP * s[0], 0.0, s)
-    return SvdResult(u=u, s=s, v=vt.T)
+    k = s.size if floor is None else np.count_nonzero(s > floor)
+    return SvdResult(u=u[:, :k], s=s[:k], v=vt[:k].T)
 
 
 # Patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.

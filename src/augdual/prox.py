@@ -145,8 +145,11 @@ def moreau_residual(norm: NormSpec, v: np.ndarray, scale: float = 1.0) -> float:
 
 
 def svt(m, threshold: float) -> np.ndarray:
-    """Singular value thresholding: soft-shrink the singular values of m."""
+    """Singular value thresholding: soft-shrink the singular values of m.
+
+    One ``numerics.svd`` call, which returns only the singular values above
+    the threshold and their vectors."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    res = numerics.svd(m)
-    return (res.u * np.maximum(res.s - threshold, 0.0)) @ res.v.T
+    res = numerics.svd(m, floor=threshold)
+    return (res.u * (res.s - threshold)) @ res.v.T

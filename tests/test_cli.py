@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -535,6 +536,24 @@ def test_main_checks_the_stored_truth_before_the_solve(edit, tmp_path, capsys):
         assert "solved in" not in out.out
 
 
+@pytest.mark.parametrize("key", ["A", "b"])
+def test_main_names_an_empty_stored_csv(key, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    path = tmp_path / "inst" / f"{key}.csv"
+    path.write_text("")
+    for command in ("solve", "check"):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args[command]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert f"configuration error: instance file {path.parent / 'instance.json'}: " \
+            f"{key} ({path}) holds no numbers" in out.err
+        assert "UserWarning" not in out.err
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        assert "solved in" not in out.out
+
+
 _BAD_STORED_ARRAYS = {
     # case: (key, file, edit of the file's lines or of the stored list)
     "A_nan": ("A", "inst/A.csv", lambda rows: ["nan," + rows[0].split(",", 1)[1], *rows[1:]]),
@@ -600,11 +619,7 @@ def test_main_inconsistent_data_is_infeasible_exit(tmp_path, capsys):
     assert report["recovery_error"] is None
 
 
-def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
-    def failing_svd(m):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(numerics, "svd", failing_svd)
+def _completion_config(tmp_path):
     cfg_path = tmp_path / "config.json"
     _write_json(
         cfg_path,
@@ -616,9 +631,37 @@ def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
             "output": {},
         },
     )
-    assert main(["solve", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    return cfg_path
+
+
+def test_main_svd_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing_svd(m, floor=None):
+        calls.append(floor)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(numerics, "svd", failing_svd)
+    assert main(["solve", "--config", str(_completion_config(tmp_path))]) == EXIT_NUMERICAL
+    assert calls
     err = capsys.readouterr().err
     assert "numerical failure" in err
+    assert "configuration error" not in err
+
+
+def test_main_gram_eigh_failure_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    # The thresholded SVD of an SVT comes from eigh of the small Gram matrix.
+    calls = []
+
+    def failing_eigh(a):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert main(["solve", "--config", str(_completion_config(tmp_path))]) == EXIT_NUMERICAL
+    assert calls
+    err = capsys.readouterr().err
+    assert "numerical failure: Eigenvalues did not converge" in err
     assert "configuration error" not in err
 
 

@@ -7,7 +7,7 @@ from augdual.cli import InstanceSpec, generate_instance
 from augdual.linop import BlockSum, Dense, LinearOperator, Point, SamplingMask
 from augdual import numerics
 from augdual.numerics import lanczos_norm, operator_norm_estimate, power_iteration, svd
-from augdual.prox import NormSpec
+from augdual.prox import NormSpec, svt
 from augdual.solver import ConfigurationError, ProblemSpec, SolveConfig, solve
 
 
@@ -68,6 +68,115 @@ def test_svd_deterministic():
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.s, b.s)
     assert np.array_equal(a.v, b.v)
+
+
+# Singular values of the floor tests, against the floor t = 1: k = min(shape).
+FLOOR_CASES = {
+    "nothing_kept": lambda k: np.linspace(0.9, 0.1, k),
+    "all_kept": lambda k: np.linspace(3.0, 1.5, k),
+    "zero": lambda k: np.zeros(k),
+    "rank_deficient": lambda k: np.where(np.arange(k) < max(1, k // 3), 2.5, 0.0),
+    # None within 1% of t, so the kept set is not ambiguous.
+    "straddling": lambda k: np.linspace(2.5, 0.2, k),
+}
+FLOOR_SHAPES = [(1, 4), (4, 1), (24, 12), (12, 24), (24, 8), (80, 80)]
+
+
+def _with_singular_values(shape, values, seed):
+    rng = np.random.default_rng(seed)
+    k = values.size
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return (u * values) @ v.T
+
+
+def _truncated(res, floor):
+    k = np.count_nonzero(res.s > floor)
+    return res.u[:, :k], res.s[:k], res.v[:, :k]
+
+
+@pytest.mark.parametrize("case", FLOOR_CASES)
+@pytest.mark.parametrize("shape", FLOOR_SHAPES)
+def test_svd_floor_keeps_the_triplets_above_it(shape, case):
+    values = FLOOR_CASES[case](min(shape))
+    m = _with_singular_values(shape, values, seed=sum(shape))
+    res = svd(m, floor=1.0)
+    u, s, v = _truncated(svd(m), 1.0)
+    k = s.size
+    assert k == np.count_nonzero(values > 1.0)
+    assert res.u.shape == (shape[0], k) and res.v.shape == (shape[1], k)
+    top = max(float(values.max()), 1.0)
+    assert np.max(np.abs(res.s - s), initial=0.0) <= 1e-12 * top
+    assert np.all(np.diff(res.s) <= 0)
+    assert np.max(np.abs(res.reconstruct() - (u * s) @ v.T)) <= 1e-12 * top
+    assert np.max(np.abs(res.u.T @ res.u - np.eye(k)), initial=0.0) <= 1e-10
+    assert np.max(np.abs(res.v.T @ res.v - np.eye(k)), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("case", FLOOR_CASES)
+@pytest.mark.parametrize("shape", FLOOR_SHAPES)
+def test_svt_shrinks_the_full_svd(shape, case):
+    m = _with_singular_values(shape, FLOOR_CASES[case](min(shape)), seed=sum(shape) + 1)
+    res = svd(m)
+    expect = (res.u * np.maximum(res.s - 1.0, 0.0)) @ res.v.T
+    assert np.linalg.norm(svt(m, 1.0) - expect) <= 1e-12 * max(np.linalg.norm(m), 1e-300)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_svd_floor_at_extreme_scales(scale):
+    # t^2 under- or overflows; the Gram route still keeps the same triplets.
+    base = _with_singular_values((24, 12), np.linspace(2.5, 0.2, 12), seed=4)
+    u, s, v = _truncated(svd(base), 1.0)
+    res = svd(scale * base, floor=scale)
+    assert np.max(np.abs(res.s / scale - s)) <= 1e-12 * s[0]
+    assert np.max(np.abs(res.reconstruct() / scale - (u * s) @ v.T)) <= 1e-12 * s[0]
+
+
+_BEYOND_THE_RATIO = {
+    # s_max^2 / t^2 above GRAM_SVD_RATIO: (m from a 24x12 base, t, eigh calls).
+    # An entry above sqrt(ratio) * t sends m to LAPACK before eigh.
+    "large_entry": (lambda base: 1e3 * base, 1.0, 0),
+    # Without that entry bound, G would overflow.
+    "huge_entries": (lambda base: 1e200 * base, 1.0, 0),
+    "subnormal_floor": (lambda base: base, 5e-324, 0),
+    # No entry above sqrt(ratio) * t: eigh's lambda_max shows the ratio.
+    "small_entries": (lambda base: np.full((80, 80), 2.0), 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("build, floor, eighs", _BEYOND_THE_RATIO.values(),
+                         ids=_BEYOND_THE_RATIO)
+def test_svd_floor_beyond_the_gram_ratio_is_the_lapack_svd(build, floor, eighs, monkeypatch):
+    m = build(_with_singular_values((24, 12), np.linspace(2.5, 0.2, 12), seed=3))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g) or eigh(g))
+    res = svd(m, floor=floor)
+    assert len(calls) == eighs
+    u, s, v = _truncated(svd(m), floor)
+    assert s[0] > floor * np.sqrt(numerics.GRAM_SVD_RATIO)
+    assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.v, v)
+
+
+def test_svd_floor_must_be_positive():
+    for floor in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="floor"):
+            svd(np.eye(2), floor=floor)
+    with pytest.raises(ValueError, match="finite"):
+        svd(np.array([[1.0, np.inf], [0.0, 1.0]]), floor=1.0)
+
+
+def test_svt_makes_one_svd_call_when_nothing_is_kept(monkeypatch):
+    calls = []
+    original = numerics.svd
+
+    def counting_svd(m, floor=None):
+        calls.append(floor)
+        return original(m, floor=floor)
+
+    monkeypatch.setattr(numerics, "svd", counting_svd)
+    assert np.array_equal(svt(0.5 * np.eye(3), 1.0), np.zeros((3, 3)))
+    assert calls == [1.0]
 
 
 def test_operator_norm_identity_and_diag():
