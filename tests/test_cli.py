@@ -402,6 +402,14 @@ _BAD_FIELDS = {
     "instance_seed_string": ({"instance": {**L1_SPEC, "seed": "1"}}, "'seed'"),
     "lam_nan": ({"instance": {**RPCA_SPEC, "lam": math.nan}, "tau": {"value": 50}}, "lam"),
     "lam_inf": ({"instance": {**RPCA_SPEC, "lam": math.inf}, "tau": {"value": 50}}, "lam"),
+    "instance_rank_range": ({"instance": {"kind": "matrix_completion", "seed": 0, "rows": 5,
+                                          "cols": 6, "rank": 6}}, "rank"),
+    "instance_p_range": ({"instance": {"kind": "matrix_completion", "seed": 0, "rows": 5,
+                                       "cols": 6, "rank": 1, "p": 1.5}}, "p <= 1"),
+    "instance_k_range": ({"instance": {**L1_SPEC, "k": 9}}, "k <= n"),
+    "instance_no_kind": ({"instance": {"seed": 0, "n": 8, "m": 4, "k": 2}}, "'kind'"),
+    "instance_no_seed": ({"instance": {"kind": "aug_l1", "n": 8, "m": 4, "k": 2}}, "'seed'"),
+    "tau_unknown_rule": ({"tau": {"rule": "largest"}}, "tau rule 'largest'"),
     # Fields another kind reads: a completion's k would not bound its samples.
     "l1_rows": ({"instance": {**L1_SPEC, "rows": 3}}, "'rows'"),
     "l1_lam": ({"instance": {**L1_SPEC, "lam": 0.5}}, "'lam'"),

@@ -129,6 +129,14 @@ def test_polyhedral_gauge_prox_optimality():
             assert value(trial) >= base - 1e-8
 
 
+def test_polyhedral_polar_rejects_an_empty_or_non_finite_vertex_list():
+    with pytest.raises(ValueError, match="vertex list must be a nonempty"):
+        PolyhedralPolar(np.zeros((0, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            PolyhedralPolar(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         gauge_eval(CROSS, np.array([1.0, 2.0]))

@@ -53,6 +53,16 @@ def test_point_owns_its_array():
     assert a.flags.writeable and not p.data.flags.writeable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_and_dense_reject_non_finite_entries(bad):
+    a = np.ones((2, 3))
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="point entries must be finite"):
+        Point(a)
+    with pytest.raises(ValueError, match="dense operator entries must be finite"):
+        Dense(a)
+
+
 def test_point_arithmetic_and_norm():
     # A Point keeps only the difference and the norm, for recovery errors.
     p = Point.vector([3.0, 4.0])

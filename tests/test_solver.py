@@ -74,6 +74,25 @@ def test_norm_bound_must_be_finite_and_positive(bound):
         solve(p, SolveConfig(), norm_bound=bound)
 
 
+def test_solve_config_rejects_a_budget_below_one():
+    for max_iter in (0, -3):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            SolveConfig(max_iter=max_iter)
+
+
+def test_warm_start_must_be_a_point_of_the_codomain_shape():
+    p, _ = _l1_problem()
+    with pytest.raises(ConfigurationError, match="y0 must be a Point"):
+        SolveConfig(y0=np.zeros(4))
+    with pytest.raises(ValueError, match="y0 shape does not match"):
+        solve(p, SolveConfig(y0=Point.vector(np.zeros(5))))
+
+
+def test_problem_spec_rejects_a_rhs_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="b shape does not match"):
+        ProblemSpec(Dense(np.eye(3)), Point.vector(np.ones(2)), NormSpec("l1"), 1.0)
+
+
 def test_gradient_of_dual_objective():
     p, _ = _l1_problem()
     rng = np.random.default_rng(1)
