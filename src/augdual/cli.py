@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linop import Point, SamplingMask
+from .linop import Point, SamplingMask, _is_integer, _is_number, _positive
 from .models import (
     AugL1Model,
     MatrixCompletionModel,
@@ -44,7 +44,6 @@ from .solver import (
     ConfigurationError,
     SolveConfig,
     SolveTrace,
-    _is_number,
     solve,
 )
 
@@ -100,10 +99,11 @@ class InstanceSpec:
     def __post_init__(self):
         # Each field's value must be of its annotated type; an int is also a
         # float, and a bool (JSON true/false) is neither.
-        kinds = {"str": str, "int": (int, np.integer), "float": (int, float, np.integer)}
+        rules = {"str": lambda value: isinstance(value, str), "int": _is_integer,
+                 "float": _is_number}
         for name, field in self.__dataclass_fields__.items():
             value = getattr(self, name)
-            if not isinstance(value, kinds[field.type]) or isinstance(value, bool):
+            if not rules[field.type](value):
                 raise ValueError(
                     f"instance field {name!r} must be of type {field.type}, got {value!r}"
                 )
@@ -119,9 +119,8 @@ class InstanceSpec:
             if not (1 <= self.rank <= min(self.rows, self.cols)):
                 raise ValueError("rank must satisfy 1 <= r <= min(rows, cols)")
             if not (1 <= self.k <= self.rows * self.cols):
-                raise ValueError("sparse entry count out of range")
-            if not (math.isfinite(self.lam) and self.lam > 0):
-                raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
+                raise ValueError("rpca needs 1 <= k <= rows * cols")
+            _positive("lam", self.lam)  # RpcaModel's rule: a spec is whole before gen
         else:
             raise ValueError(f"unknown instance kind {self.kind!r}")
 
@@ -177,15 +176,19 @@ def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
 
 def _read_json_object(path, name: str) -> dict:
     """The JSON object stored at ``path``; a ConfigurationError naming
-    ``name`` and the path for any other JSON document, and for a key missing
-    from any of its objects."""
+    ``name`` and the path for text that is not JSON (an integer of more
+    digits than Python converts included), for any other JSON document, and
+    for a key missing from any of its objects."""
 
     class Stored(dict):
         def __missing__(self, key):
             raise ConfigurationError(f"{name} {path} has no {key!r} field")
 
     with open(path) as fh:
-        doc = json.load(fh, object_hook=Stored)
+        try:
+            doc = json.load(fh, object_hook=Stored)
+        except ValueError as exc:
+            raise ConfigurationError(f"{name} {path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{name} {path} must be a JSON object, got {doc!r}")
     return doc
@@ -243,7 +246,8 @@ def _stored_array(source, where: str, shape=None, match: str = "") -> np.ndarray
                    else np.asarray(source, dtype=float))
     except UserWarning as exc:
         raise ConfigurationError(f"{where} holds no numbers") from exc
-    except (TypeError, ValueError) as exc:  # a ragged row, or text that is no number
+    # A ragged row, text that is no number, or an integer too large for a float.
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
     if shape is not None:
         arr = arr.ravel() if len(shape) == 1 else arr
@@ -311,21 +315,14 @@ def read_trace(path) -> SolveTrace:
     return trace
 
 
-def _tau_number(value):
-    """``value`` when it is a number (not a bool), else a ConfigurationError."""
-    if not _is_number(value):
-        raise ConfigurationError(f"tau value must be a number, got {value!r}")
-    return value
-
-
-def _tau_from_config(cfg: dict, model, truth) -> float:
+def _tau_from_config(cfg: dict, model, truth):
     tau_cfg = _object(cfg.get("tau"), "tau", ("rule", "value"))
     if ("rule" in tau_cfg) == ("value" in tau_cfg):
         raise ConfigurationError(
             "config field 'tau' must carry exactly one of 'rule' or 'value'"
         )
     if "value" in tau_cfg:
-        return _tau_number(tau_cfg["value"])
+        return tau_cfg["value"]  # ProblemSpec checks it
     if tau_cfg["rule"] != "heuristic":
         raise ConfigurationError(f"unknown tau rule {tau_cfg['rule']!r}")
     magnitude = float(np.max(np.abs(truth.data))) if isinstance(model, AugL1Model) else None
@@ -432,7 +429,7 @@ def main(argv=None) -> int:
         # check: the stored solution holds flat lists
         model, _ = load_instance(args.problem)
         sol = _read_json_object(args.solution, "solution")
-        problem = build_problem(dataclasses.replace(model, tau=_tau_number(sol["tau"])))
+        problem = build_problem(dataclasses.replace(model, tau=sol["tau"]))
         shapes = (("x", problem.op.domain_shape), ("y", problem.op.codomain_shape))
         x, y = (Point(_stored_array(sol[key], f"solution {args.solution}: {key}",
                                     (math.prod(shape),)).reshape(shape)) for key, shape in shapes)

@@ -27,6 +27,7 @@ from typing import Union
 
 import numpy as np
 
+from .linop import _finite
 from .prox import NormSpec, dual_ball_project, norm_value
 
 DEFAULT_TOL = 1e-10
@@ -34,14 +35,15 @@ MAX_MNP_ITER = 10_000
 
 
 class PolytopeProjectionError(RuntimeError):
-    """Raised when the min-norm-point iteration hits its cap before tol.
+    """Raised when the min-norm-point iteration stops before its certificate
+    meets the tolerance: at its iteration cap, or stalled by rounding.
 
-    Carries the best iterate and the tolerance actually achieved.
+    Carries the best iterate, the certificate achieved and the one requested.
     """
 
     def __init__(self, best: np.ndarray, achieved: float, requested: float):
         super().__init__(
-            f"polytope projection reached iteration cap at certificate "
+            f"polytope projection stopped at certificate "
             f"{achieved:.3e} (requested {requested:.3e})"
         )
         self.best = best
@@ -81,11 +83,9 @@ class PolyhedralPolar(Gauge):
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = _finite("vertices", self.vertices)
         if v.ndim != 2 or v.shape[0] == 0:
             raise ValueError("vertex list must be a nonempty (k, d) array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite")
         object.__setattr__(self, "vertices", v)
 
     def polytope(self, scale: float = 1.0) -> np.ndarray:
@@ -133,23 +133,27 @@ def _affine_minimizer(pts: np.ndarray):
 def _min_norm_point(points: np.ndarray, tol: float, max_iter: int = MAX_MNP_ITER):
     """Wolfe's algorithm for the minimum-norm point of conv(points).
 
-    Terminates when <x, x - p> <= tol for every point p (the variational
-    inequality certificate at z = x).
+    Terminates when <x, x - p> <= tol * max(1, max ||p||^2) for every point
+    p (the variational inequality certificate at z = x, relative to the
+    points: rounding alone leaves about eps * max ||p||^2). Raises
+    PolytopeProjectionError when the iteration stops short of it.
     """
     norms2 = np.einsum("ij,ij->i", points, points)
+    tol = tol * max(1.0, float(norms2.max()))
     start = int(np.argmin(norms2))
     active = [start]
     coeffs = np.array([1.0])
     x = points[start].copy()
-    for _ in range(max_iter):
+    for k in range(max_iter + 1):
         dots = points @ x
         candidate = int(np.argmin(dots))
-        xx = float(x @ x)
-        if xx - float(dots[candidate]) <= tol:
+        achieved = float(x @ x) - float(dots[candidate])
+        if achieved <= tol:
             return x
-        if candidate in active:
-            # No further progress is possible in floating point.
-            return x
+        if candidate in active or k == max_iter:
+            # Stalled (no further progress is possible in floating point),
+            # or the iterations are spent.
+            raise PolytopeProjectionError(best=x, achieved=achieved, requested=tol)
         active.append(candidate)
         coeffs = np.append(coeffs, 0.0)
         for _ in range(max_iter):
@@ -170,9 +174,6 @@ def _min_norm_point(points: np.ndarray, tol: float, max_iter: int = MAX_MNP_ITER
             coeffs = coeffs[keep]
             coeffs = coeffs / coeffs.sum()
             x = coeffs @ points[active]
-    dots = points @ x
-    achieved = float(x @ x - np.min(dots))
-    raise PolytopeProjectionError(best=x, achieved=achieved, requested=tol)
 
 
 def polar_project(g: GaugeSpec, v: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -22,10 +22,15 @@ Point's shape and wrap the result. Three operator variants are supported:
 * SamplingMask: element selection at an index set Omega, mapping a matrix
   to the compact vector of sampled entries (adjoint zero-fills);
 * BlockSum: (L, S) -> L + S, whose adjoint duplicates.
+
+The package's input rules are stated here once, beside ``_positive_shape``:
+``_is_number``, ``_is_integer``, ``_positive`` and ``_finite``. An integer too
+large for a float fails a rule with the rule's own error.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -39,13 +44,50 @@ import numpy as np
 SPARSE_APPLY_FRACTION = 0.08
 
 
+# Each rule tests the exact builtin type first: an ABC isinstance check is
+# several times slower, and an instance spec runs one per field.
+def _is_number(value) -> bool:
+    """A real number and not a bool (JSON true/false are not numbers)."""
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _is_integer(value) -> bool:
+    """An integer and not a bool (numpy integers included)."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _positive(name: str, value, error=ValueError) -> float:
+    """``value`` as a float; an ``error`` naming ``name`` unless it is a
+    number, finite and positive (an integer too large for a float is not)."""
+    try:
+        number = float(value) if _is_number(value) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise error(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array, not copied when it is one; a ValueError
+    naming ``name`` unless every entry is finite (an integer too large for a
+    float is not)."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:
+        arr = np.array(math.inf)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _positive_shape(shape, kind: str) -> Tuple[int, int]:
     """``shape`` as a pair of Python ints; a ValueError naming ``kind``
     unless it is two positive integers (no floats, bools or other lengths)."""
     dims = tuple(shape) if np.iterable(shape) else ()
-    if len(dims) != 2 or not all(
-        isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0 for d in dims
-    ):
+    if len(dims) != 2 or not all(_is_integer(d) and d > 0 for d in dims):
         raise ValueError(f"{kind} shape {shape!r} is not two positive integers")
     return (int(dims[0]), int(dims[1]))
 
@@ -58,11 +100,9 @@ class Point:
 
     def __post_init__(self):
         # A copy: later writes to the caller's array (left writable) cannot reach it.
-        arr = np.array(self.data, dtype=float, order="C")
+        arr = np.array(_finite("point entries", self.data), order="C")
         if not (arr.ndim in (1, 2) or (arr.ndim == 3 and arr.shape[0] == 2)):
             raise ValueError(f"point shape {arr.shape} is not (n,), (r, c) or (2, r, c)")
-        if not np.isfinite(arr).all():
-            raise ValueError("point entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -188,10 +228,8 @@ class Dense(LinearOperator):
         raise TypeError("Dense cannot be subclassed; another map subclasses LinearOperator")
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float).view()
+        mat = _finite("dense operator entries", self.matrix).view()
         _positive_shape(mat.shape, "dense")
-        if not np.isfinite(mat).all():
-            raise ValueError("dense operator entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

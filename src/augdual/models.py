@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .linop import BlockSum, Dense, Point, SamplingMask
+from .linop import BlockSum, Dense, Point, SamplingMask, _finite, _positive
 # svt is patched by name in solvebench/tracing.py; kept until ROADMAP item 1 moves the spans.
 from .prox import NormSpec, dual_ball_project, soft_threshold, svt
-from .solver import ProblemSpec, _is_number
+from .solver import ProblemSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +67,8 @@ class RpcaModel:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if not (_is_number(self.lam) and math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
+        object.__setattr__(self, "lam", _positive("lam", self.lam))
         object.__setattr__(self, "D", _finite("D", self.D))
-
-
-def _finite(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,38 +92,19 @@ class RpcaRegularizer:
 
 
 def build_problem(model) -> ProblemSpec:
-    """Map a model description onto a solver ProblemSpec."""
+    """Map a model description onto a solver ProblemSpec, which is the one
+    check of tau's value."""
     if isinstance(model, AugL1Model):
-        return ProblemSpec(
-            op=Dense(model.A),
-            b=Point.vector(model.b),
-            regularizer=NormSpec("l1"),
-            tau=_require_tau(model),
-        )
-    if isinstance(model, MatrixCompletionModel):
-        return ProblemSpec(
-            op=model.mask,
-            b=Point.vector(model.sampled_values),
-            regularizer=NormSpec("nuclear"),
-            tau=_require_tau(model),
-        )
-    if isinstance(model, RpcaModel):
-        return ProblemSpec(
-            op=BlockSum(model.D.shape),
-            b=Point.matrix(model.D),
-            regularizer=RpcaRegularizer(model.lam),
-            tau=_require_tau(model),
-        )
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _require_tau(model) -> float:
-    # ProblemSpec checks that tau is finite and positive.
+        parts = Dense(model.A), Point.vector(model.b), NormSpec("l1")
+    elif isinstance(model, MatrixCompletionModel):
+        parts = model.mask, Point.vector(model.sampled_values), NormSpec("nuclear")
+    elif isinstance(model, RpcaModel):
+        parts = BlockSum(model.D.shape), Point.matrix(model.D), RpcaRegularizer(model.lam)
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
     if model.tau is None:
         raise ValueError("model has no tau; set it explicitly or via tau_heuristic")
-    if not _is_number(model.tau):
-        raise ValueError(f"tau must be a number, got {model.tau!r}")
-    return float(model.tau)
+    return ProblemSpec(*parts, model.tau)
 
 
 def tau_heuristic(model, magnitude: Optional[float] = None) -> float:

@@ -29,7 +29,6 @@ of the exact adjoint, and a feasibility stop rests on the exact residual.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from . import numerics
-from .linop import LinearOperator, Point
+from .linop import LinearOperator, Point, _is_integer, _is_number, _positive
 
 # Relative size of A*r, against ||A||*||r||, below which the residual r
 # certifies b outside range(A). About sqrt(u), u the double-precision unit
@@ -57,7 +56,8 @@ class ProblemSpec:
 
     The regularizer is any object exposing prox(v, scale) and
     polar_project(v) on arrays shaped like the operator's domain: a
-    NormSpec, a gauge, or the RPCA block regularizer.
+    NormSpec, a gauge, or the RPCA block regularizer. This is the one check
+    that tau is finite and positive; it is stored as a float.
     """
 
     op: LinearOperator
@@ -72,8 +72,7 @@ class ProblemSpec:
             b_norm = self.b.norm()
         if not math.isfinite(b_norm):
             raise ValueError("||b|| overflows to inf; rescale the data")
-        if not (_is_number(self.tau) and np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        object.__setattr__(self, "tau", _positive("tau", self.tau))
 
 
 @dataclass(frozen=True)
@@ -95,26 +94,17 @@ class SolveConfig:
     def __post_init__(self):
         if not (self.h is None or _is_number(self.h)):
             raise ConfigurationError(f"h must be a number or None, got {self.h!r}")
-        if not (isinstance(self.max_iter, numbers.Integral)
-                and not isinstance(self.max_iter, bool)):
-            raise ConfigurationError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if not _is_number(self.primal_tol):
-            raise ConfigurationError(f"primal_tol must be a number, got {self.primal_tol!r}")
+        if not (_is_integer(self.max_iter) and self.max_iter >= 1):
+            raise ConfigurationError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
+            )
+        _positive("primal_tol", self.primal_tol, ConfigurationError)
         if not (self.y0 is None or isinstance(self.y0, Point)):
             raise ConfigurationError("y0 must be a Point or None")
         if not isinstance(self.accelerated, bool):
             raise ConfigurationError(
                 f"accelerated must be true or false, got {self.accelerated!r}"
             )
-        if not (math.isfinite(self.primal_tol) and self.primal_tol > 0):
-            raise ConfigurationError("primal_tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
-
-
-def _is_number(value) -> bool:
-    """A real number and not a bool (JSON true/false are not numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(slots=True)
@@ -209,8 +199,7 @@ def validate_config(c: SolveConfig, norm_bound: float) -> float:
     accelerated solve at most the 1/L step 1/bound^2, which is the step
     taken when c.h is None. Neither depends on tau.
     """
-    if not (_is_number(norm_bound) and math.isfinite(norm_bound) and norm_bound > 0):
-        raise ConfigurationError(f"norm_bound must be finite and positive, got {norm_bound!r}")
+    _positive("norm_bound", norm_bound, ConfigurationError)
     cap = default_step_size(norm_bound)
     if c.h is None:
         return float(cap)

@@ -407,6 +407,8 @@ _BAD_FIELDS = {
     "instance_p_range": ({"instance": {"kind": "matrix_completion", "seed": 0, "rows": 5,
                                        "cols": 6, "rank": 1, "p": 1.5}}, "p <= 1"),
     "instance_k_range": ({"instance": {**L1_SPEC, "k": 9}}, "k <= n"),
+    "instance_rpca_k_range": ({"instance": {**RPCA_SPEC, "k": 21}, "tau": {"value": 50}},
+                              "k <= rows * cols"),
     "instance_no_kind": ({"instance": {"seed": 0, "n": 8, "m": 4, "k": 2}}, "'kind'"),
     "instance_no_seed": ({"instance": {"kind": "aug_l1", "n": 8, "m": 4, "k": 2}}, "'seed'"),
     "tau_unknown_rule": ({"tau": {"rule": "largest"}}, "tau rule 'largest'"),
@@ -431,10 +433,10 @@ def test_main_rejects_bad_solve_fields(overrides, field, tmp_path, capsys):
     assert field in err
 
 
-def _stored_solve(tmp_path):
-    """Generate, solve and store an l1 instance; the CLI arguments of the
-    gen, solve and check commands that read the stored documents."""
-    _write_json(tmp_path / "spec.json", L1_SPEC)
+def _stored_solve(tmp_path, spec=L1_SPEC):
+    """Generate, solve and store an instance of ``spec``; the CLI arguments
+    of the gen, solve and check commands that read the stored documents."""
+    _write_json(tmp_path / "spec.json", spec)
     inst = tmp_path / "inst" / "instance.json"
     _write_json(tmp_path / "config.json", {
         "instance_path": "inst/instance.json", "tau": {"value": 10.0},
@@ -475,6 +477,68 @@ def test_main_rejects_a_json_document_that_is_not_an_object(
     assert str(tmp_path / document) in err
 
 
+@pytest.mark.parametrize("text", ['{"tau": ', '{"tau": 1' + "0" * 5000 + "}"],
+                         ids=["truncated", "integer_past_the_digit_limit"])
+@pytest.mark.parametrize("document, command", [
+    ("spec.json", "gen"), ("config.json", "solve"), ("inst/instance.json", "check"),
+    ("solution.json", "check"),
+], ids=["spec", "config", "problem", "solution"])
+def test_main_names_a_file_that_is_not_json(document, command, text, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    (tmp_path / document).write_text(text)
+    capsys.readouterr()
+    assert main(args[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"{tmp_path / document} is not JSON" in err
+
+
+BIG = 10**400  # a JSON integer that no float holds
+_MC_SPEC = {"kind": "matrix_completion", "seed": 0, "rows": 5, "cols": 6, "rank": 1}
+
+# The stored instance's spec, the document edited, the edit, the command that
+# reads the document, and the text that names the field (None: exit 2 only).
+_OVERSIZED = {
+    "tau_value": (L1_SPEC, "config.json", lambda cfg: {**cfg, "tau": {"value": BIG}},
+                  "solve", "tau must be finite and positive"),
+    "primal_tol": (L1_SPEC, "config.json", lambda cfg: {**cfg, "solve": {"primal_tol": BIG}},
+                   "solve", "primal_tol must be finite and positive"),
+    "gen_lam": (L1_SPEC, "spec.json", lambda spec: {**RPCA_SPEC, "lam": BIG},
+                "gen", "lam must be finite and positive"),
+    "instance_lam": (L1_SPEC, "config.json",
+                     lambda cfg: {"instance": {**RPCA_SPEC, "lam": BIG}, "tau": {"value": 50}},
+                     "solve", "lam must be finite and positive"),
+    "stored_lam": (RPCA_SPEC, "inst/instance.json", lambda meta: {**meta, "lam": BIG},
+                   "solve", "lam must be finite and positive"),
+    "solution_tau": (L1_SPEC, "solution.json", lambda sol: {**sol, "tau": BIG},
+                     "check", "tau must be finite and positive"),
+    "solution_x": (L1_SPEC, "solution.json", lambda sol: {**sol, "x": [BIG] + sol["x"][1:]},
+                   "check", "solution.json: x: int too large"),
+    "solution_y": (L1_SPEC, "solution.json", lambda sol: {**sol, "y": sol["y"][:-1] + [BIG]},
+                   "check", "solution.json: y: int too large"),
+    # Fields that compare an integer with a bound and convert nothing.
+    "h": (L1_SPEC, "config.json", lambda cfg: {**cfg, "solve": {"h": BIG}},
+          "solve", "step size h="),
+    "gen_p": (L1_SPEC, "spec.json", lambda spec: {**_MC_SPEC, "p": BIG}, "gen", "p <= 1"),
+    "gen_k": (L1_SPEC, "spec.json", lambda spec: {**spec, "k": BIG}, "gen", "k <= n"),
+    "gen_n": (L1_SPEC, "spec.json", lambda spec: {**spec, "n": BIG}, "gen", None),
+}
+
+
+@pytest.mark.parametrize("spec, document, edit, command, name", _OVERSIZED.values(),
+                         ids=_OVERSIZED)
+def test_main_names_an_integer_too_large_for_a_float(
+    spec, document, edit, command, name, tmp_path, capsys
+):
+    args = _stored_solve(tmp_path, spec)
+    path = tmp_path / document
+    _write_json(path, edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert main(args[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
+    assert name is None or name in err
+
+
 @pytest.mark.parametrize("tau", [True, "10"])
 def test_main_check_rejects_a_tau_that_is_not_a_number(tau, tmp_path, capsys):
     args = _stored_solve(tmp_path)
@@ -482,7 +546,7 @@ def test_main_check_rejects_a_tau_that_is_not_a_number(tau, tmp_path, capsys):
     _write_json(sol_path, {**json.loads(sol_path.read_text()), "tau": tau})
     capsys.readouterr()
     assert main(args["check"]) == EXIT_CONFIG
-    assert "tau value must be a number" in capsys.readouterr().err
+    assert f"tau must be finite and positive, got {tau!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [["A.csv"], "A.csv", {"A": 1, "b": "b.csv"}],

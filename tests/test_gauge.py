@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from augdual.gauge import (
+    DEFAULT_TOL,
     DiagWeighted,
     NormGauge,
     PolyhedralPolar,
+    PolytopeProjectionError,
+    _min_norm_point,
     gauge_eval,
     gauge_prox,
     polar_project,
@@ -127,6 +130,54 @@ def test_polyhedral_gauge_prox_optimality():
         for _ in range(40):
             trial = p + 0.05 * rng.standard_normal(2)
             assert value(trial) >= base - 1e-8
+
+
+def _random_polytope(seed, scale):
+    """Points of conv(V + {0}) - v, the polar set and v, for 12 Gaussian
+    vertices in R^5 and a v outside, all at ``scale``."""
+    rng = np.random.default_rng(seed)
+    g = PolyhedralPolar(scale * rng.standard_normal((12, 5)))
+    v = 2.0 * scale * rng.standard_normal(5)
+    return g.polytope() - v, g, v
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+def test_polar_project_is_certified_at_every_scale(scale):
+    # The certificate <x, x - p> <= tol scales with max ||p||^2, the size of
+    # its rounding: against an absolute tol, rounding stalled 38 of these 80
+    # at 1e4 and 1e6 short of it. A stall now raises, so each must certify.
+    for seed in range(40):
+        points, g, v = _random_polytope(seed, scale)
+        x = polar_project(g, v) - v
+        gap = x @ x - np.min(points @ x)
+        assert gap <= DEFAULT_TOL * max(1.0, np.max(np.sum(points**2, axis=1)))
+
+
+def test_min_norm_point_raises_at_its_cap():
+    # The projection of (2, 2, 2) onto the l1 ball is the centre of a
+    # triangle: one iteration reaches only an edge of it.
+    points = CROSS.polytope() - 2.0
+    with pytest.raises(PolytopeProjectionError, match="stopped at certificate") as caught:
+        _min_norm_point(points, DEFAULT_TOL, max_iter=1)
+    err = caught.value
+    assert err.requested == DEFAULT_TOL * np.max(np.sum(points**2, axis=1))
+    assert err.achieved > err.requested
+    best = err.best
+    assert err.achieved == pytest.approx(best @ best - np.min(points @ best))
+    assert np.allclose(_min_norm_point(points, DEFAULT_TOL), -np.full(3, 5.0 / 3.0))
+    # The iterate that the last iteration reaches is checked before the cap:
+    # here one iteration reaches the projection, an edge of the triangle.
+    edge = CROSS.polytope() - np.array([2.0, 1.5, 0.3])
+    assert np.allclose(_min_norm_point(edge, DEFAULT_TOL, max_iter=1), [-1.25, -1.25, -0.3])
+
+
+def test_min_norm_point_raises_when_rounding_stalls_it():
+    # Far below the rounding of these points, no step improves the best
+    # point, and it falls short of the certificate.
+    points, _, _ = _random_polytope(1, 1e6)
+    with pytest.raises(PolytopeProjectionError) as caught:
+        _min_norm_point(points, 1e-22)
+    assert caught.value.achieved > caught.value.requested
 
 
 def test_polyhedral_polar_rejects_an_empty_or_non_finite_vertex_list():

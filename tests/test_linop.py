@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,30 @@ def test_point_and_dense_reject_non_finite_entries(bad):
         Point(a)
     with pytest.raises(ValueError, match="dense operator entries must be finite"):
         Dense(a)
+
+
+def test_each_rule_rejects_an_integer_too_large_for_a_float():
+    big = 10**400
+    assert linop._is_integer(big) and linop._is_number(big)
+    with pytest.raises(ValueError, match="point entries must be finite"):
+        Point([1.0, big])
+    with pytest.raises(ValueError, match="dense operator entries must be finite"):
+        Dense([[1.0, big]])
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        linop._positive("lam", big)
+    with pytest.raises(KeyError, match="tau must be finite and positive"):
+        linop._positive("tau", -big, KeyError)
+
+
+def test_rules_accept_numpy_scalars_but_no_bools():
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert linop._is_integer(value) and linop._is_number(value)
+    for value in (3.0, np.float32(3.0), np.float64(3.0)):
+        assert linop._is_number(value) and not linop._is_integer(value)
+    for value in (True, np.bool_(True), "3", None, [3]):
+        assert not linop._is_number(value) and not linop._is_integer(value)
+    positive = linop._positive("tau", np.int64(3))
+    assert positive == 3.0 and type(positive) is float
 
 
 def test_point_arithmetic_and_norm():
@@ -326,3 +352,21 @@ def test_dense_matrix_is_read_only():
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 1.0
     assert a.flags.writeable
+
+
+def _peak_bytes(build):
+    """The peak of the memory that numpy allocates while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_shares_the_matrix_and_a_point_copies_it_once():
+    # The finiteness checks allocate only a boolean mask (an eighth of a).
+    a = np.ones((500, 250))
+    assert np.shares_memory(Dense(a).matrix, a)
+    assert _peak_bytes(lambda: Dense(a)) < a.nbytes / 2
+    assert a.nbytes <= _peak_bytes(lambda: Point(a)) < 1.5 * a.nbytes

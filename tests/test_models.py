@@ -56,7 +56,7 @@ def test_tau_rule_rpca():
     assert tau_heuristic(model) == pytest.approx(30.9839, abs=5e-4)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, True, "0.5"])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, True, "0.5", 10**400])
 def test_rpca_model_rejects_a_lam_that_is_not_finite_and_positive(lam):
     with pytest.raises(ValueError, match="lam must be finite and positive"):
         RpcaModel(np.eye(2), lam=lam)
@@ -77,7 +77,7 @@ def test_build_requires_tau():
         with pytest.raises(ValueError, match="tau must be finite and positive"):
             build_problem(AugL1Model(np.eye(3), np.ones(3), tau=tau))
     # A bool is not a number: neither the model nor ProblemSpec coerces it.
-    with pytest.raises(ValueError, match="tau must be a number, got True"):
+    with pytest.raises(ValueError, match="tau must be finite and positive, got True"):
         build_problem(AugL1Model(np.eye(3), np.ones(3), tau=True))
     with pytest.raises(ValueError, match="tau must be finite and positive, got True"):
         ProblemSpec(Dense(np.eye(3)), Point.vector(np.ones(3)), NormSpec("l1"), True)

@@ -65,7 +65,7 @@ def test_accelerated_step_cap():
         validate_config(SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
 
 
-@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0, True])
+@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0, True, 10**400])
 def test_norm_bound_must_be_finite_and_positive(bound):
     p, _ = _l1_problem()
     with pytest.raises(ConfigurationError, match="norm_bound"):
@@ -91,6 +91,11 @@ def test_warm_start_must_be_a_point_of_the_codomain_shape():
 def test_problem_spec_rejects_a_rhs_of_the_wrong_shape():
     with pytest.raises(ValueError, match="b shape does not match"):
         ProblemSpec(Dense(np.eye(3)), Point.vector(np.ones(2)), NormSpec("l1"), 1.0)
+
+
+def test_problem_spec_stores_tau_as_a_float():
+    p = ProblemSpec(Dense(np.eye(1)), Point.vector([1.0]), NormSpec("l1"), np.int64(3))
+    assert p.tau == 3.0 and type(p.tau) is float
 
 
 def test_gradient_of_dual_objective():
