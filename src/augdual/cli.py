@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linop import Point, SamplingMask, _is_integer, _is_number, _positive
+from .linop import Point, SamplingMask, _is_integer, _is_number, _positive, _shown
 from .models import (
     AugL1Model,
     MatrixCompletionModel,
@@ -74,7 +74,7 @@ def _object(value, what: str, known) -> dict:
     """``value`` when it is a JSON object whose keys all lie in ``known``;
     otherwise a ConfigurationError naming ``what``."""
     if not isinstance(value, dict):
-        raise ConfigurationError(f"{what} must be an object, got {value!r}")
+        raise ConfigurationError(f"{what} must be an object, got {_shown(value)}")
     unknown = sorted(set(value).difference(known))
     if unknown:
         raise ConfigurationError(f"unknown {what} fields: {unknown}")
@@ -105,7 +105,7 @@ class InstanceSpec:
             value = getattr(self, name)
             if not rules[field.type](value):
                 raise ValueError(
-                    f"instance field {name!r} must be of type {field.type}, got {value!r}"
+                    f"instance field {name!r} must be of type {field.type}, got {_shown(value)}"
                 )
         if self.kind == "aug_l1":
             if not (1 <= self.k <= self.n) or self.m < 1:
@@ -135,43 +135,52 @@ class InstanceSpec:
 
 
 def generate_instance(spec: InstanceSpec) -> Tuple[object, Point]:
-    """Seeded synthetic instance; returns (model with tau unset, truth)."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "aug_l1":
-        A = rng.standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
-        support = rng.choice(spec.n, size=spec.k, replace=False)
-        x0 = np.zeros(spec.n)
-        x0[support] = rng.choice([-1.0, 1.0], size=spec.k) * rng.uniform(
-            0.5, 1.0, size=spec.k
-        )
-        b = A @ x0
-        return AugL1Model(A=A, b=b), Point.vector(x0)
-    if spec.kind == "matrix_completion":
+    """Seeded synthetic instance; returns (model with tau unset, truth). A
+    ConfigurationError names the size fields of an array too large for numpy."""
+    try:
+        rng = np.random.default_rng(spec.seed)
+        if spec.kind == "aug_l1":
+            A = rng.standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
+            support = rng.choice(spec.n, size=spec.k, replace=False)
+            x0 = np.zeros(spec.n)
+            x0[support] = rng.choice([-1.0, 1.0], size=spec.k) * rng.uniform(
+                0.5, 1.0, size=spec.k
+            )
+            b = A @ x0
+            return AugL1Model(A=A, b=b), Point.vector(x0)
+        if spec.kind == "matrix_completion":
+            left = rng.standard_normal((spec.rows, spec.rank))
+            right = rng.standard_normal((spec.cols, spec.rank))
+            M = left @ right.T
+            total = spec.rows * spec.cols
+            count = max(1, int(round(spec.p * total)))
+            flat = np.sort(rng.choice(total, size=count, replace=False))
+            omega = np.column_stack(np.divmod(flat, spec.cols))
+            model = MatrixCompletionModel(
+                SamplingMask((spec.rows, spec.cols), omega), sampled_values=M.ravel()[flat]
+            )
+            return model, Point.matrix(M)
+        # rpca
         left = rng.standard_normal((spec.rows, spec.rank))
         right = rng.standard_normal((spec.cols, spec.rank))
-        M = left @ right.T
+        L0 = left @ right.T
         total = spec.rows * spec.cols
-        count = max(1, int(round(spec.p * total)))
-        flat = np.sort(rng.choice(total, size=count, replace=False))
-        omega = np.column_stack(np.divmod(flat, spec.cols))
-        model = MatrixCompletionModel(
-            SamplingMask((spec.rows, spec.cols), omega), sampled_values=M.ravel()[flat]
-        )
-        return model, Point.matrix(M)
-    # rpca
-    left = rng.standard_normal((spec.rows, spec.rank))
-    right = rng.standard_normal((spec.cols, spec.rank))
-    L0 = left @ right.T
-    total = spec.rows * spec.cols
-    flat = np.sort(rng.choice(total, size=spec.k, replace=False))
-    S0 = np.zeros((spec.rows, spec.cols))
-    scale = max(1.0, float(np.max(np.abs(L0))))
-    for f in flat:
-        S0[f // spec.cols, f % spec.cols] = (
-            rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0) * scale
-        )
-    D = L0 + S0
-    return RpcaModel(D=D, lam=spec.lam), Point.pair(L0, S0)
+        flat = np.sort(rng.choice(total, size=spec.k, replace=False))
+        S0 = np.zeros((spec.rows, spec.cols))
+        scale = max(1.0, float(np.max(np.abs(L0))))
+        for f in flat:
+            S0[f // spec.cols, f % spec.cols] = (
+                rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0) * scale
+            )
+        D = L0 + S0
+        return RpcaModel(D=D, lam=spec.lam), Point.pair(L0, S0)
+    except ValueError as exc:  # numpy rejects a size it cannot index before allocating
+        sizes = [name for name in ("m", "n", "rows", "cols") if name in _KIND_FIELDS[spec.kind]]
+        limit = np.iinfo(np.intp).max
+        if math.prod(getattr(spec, name) for name in sizes) <= limit:
+            raise
+        huge = [name for name in sizes if getattr(spec, name) > limit] or sizes
+        raise ConfigurationError(f"instance fields {huge} are too large: {exc}") from exc
 
 
 def _read_json_object(path, name: str) -> dict:
@@ -190,7 +199,7 @@ def _read_json_object(path, name: str) -> dict:
         except ValueError as exc:
             raise ConfigurationError(f"{name} {path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{name} {path} must be a JSON object, got {doc!r}")
+        raise ConfigurationError(f"{name} {path} must be a JSON object, got {_shown(doc)}")
     return doc
 
 
@@ -357,7 +366,7 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
     out_cfg = _object(cfg.get("output", {}), "output", ("trace", "report", "solution"))
     if not all(isinstance(v, str) for v in out_cfg.values()):
         raise ConfigurationError(
-            f"config field 'output' must map names to file paths, got {out_cfg!r}"
+            f"config field 'output' must map names to file paths, got {_shown(out_cfg)}"
         )
 
     start = time.perf_counter()

@@ -25,7 +25,7 @@ Point's shape and wrap the result. Three operator variants are supported:
 
 The package's input rules are stated here once, beside ``_positive_shape``:
 ``_is_number``, ``_is_integer``, ``_positive`` and ``_finite``. An integer too
-large for a float fails a rule with the rule's own error.
+large for a float fails a rule with its own error; ``_shown`` echoes a value.
 """
 
 from __future__ import annotations
@@ -58,6 +58,18 @@ def _is_integer(value) -> bool:
         isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 40 characters; an integer of more than 160 bits
+    as its digit count, from its bit length (Python converts <= 4300 digits)."""
+    size = abs(int(value)) if _is_integer(value) else 0
+    if size.bit_length() > 160:
+        digits = int(size.bit_length() * math.log10(2)) + 1
+        digits -= size < 10 ** (digits - 1)
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _positive(name: str, value, error=ValueError) -> float:
     """``value`` as a float; an ``error`` naming ``name`` unless it is a
     number, finite and positive (an integer too large for a float is not)."""
@@ -66,7 +78,7 @@ def _positive(name: str, value, error=ValueError) -> float:
     except OverflowError:
         number = math.inf
     if not (math.isfinite(number) and number > 0):
-        raise error(f"{name} must be finite and positive, got {value!r}")
+        raise error(f"{name} must be finite and positive, got {_shown(value)}")
     return number
 
 

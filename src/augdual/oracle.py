@@ -178,8 +178,9 @@ def l1_exact_solve(A, b, tau: float) -> Point:
 def prox_bruteforce(objective, v, grid_half_width: float, grid_points: int) -> np.ndarray:
     """Grid minimizer of objective(x) + 0.5||x - v||^2 over a box around v.
 
-    Dimension <= 3, <= 201 points per axis; accuracy is one grid cell.
-    Returns a flat array.
+    ``objective`` maps an (N, d) array of points to their N values. Dimension
+    <= 3, <= 201 points per axis; accuracy is one grid cell; the first minimum
+    in ``itertools.product`` order of the axes wins. Returns a flat array.
     """
     center = np.asarray(v, dtype=float).ravel()
     d = center.size
@@ -187,16 +188,14 @@ def prox_bruteforce(objective, v, grid_half_width: float, grid_points: int) -> n
         raise ValueError("brute-force prox is capped at dimension 3")
     if grid_points > 201:
         raise ValueError("grid capped at 201 points per axis")
-    axes = [
-        np.linspace(c - grid_half_width, c + grid_half_width, grid_points)
-        for c in center
-    ]
-    best_val = np.inf
-    best = center.copy()
-    for combo in itertools.product(*axes):
-        x = np.asarray(combo)
-        val = objective(x) + 0.5 * float(np.sum((x - center) ** 2))
-        if val < best_val:
-            best_val = val
-            best = x
+    axes = [np.linspace(c - grid_half_width, c + grid_half_width, grid_points) for c in center]
+    best_val, best = np.inf, center.copy()
+    # One slab per point of the first axis: at most 201^2 points at a time.
+    for first in axes[0]:
+        slab = np.meshgrid([first], *axes[1:], indexing="ij")
+        points = np.stack(slab, axis=-1).reshape(-1, d)
+        vals = objective(points) + 0.5 * np.sum((points - center) ** 2, axis=1)
+        i = np.argmin(vals)
+        if vals[i] < best_val:
+            best_val, best = vals[i], points[i]
     return best

@@ -32,12 +32,12 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import numerics
-from .linop import LinearOperator, Point, _is_integer, _is_number, _positive
+from .linop import LinearOperator, Point, _is_integer, _is_number, _positive, _shown
 
 # Relative size of A*r, against ||A||*||r||, below which the residual r
 # certifies b outside range(A). About sqrt(u), u the double-precision unit
@@ -79,10 +79,10 @@ class ProblemSpec:
 class SolveConfig:
     """Step size, budget, tolerance, starting point and variant of one solve.
 
-    ``h = None`` picks 1 / bound^2 with bound the inflated Lanczos
-    estimate of ||A|| (``estimated_bound``); ``validate_config`` checks a
-    given h. ``y0`` warm-starts the dual iterate (zero when None).
-    ``accelerated`` adds Nesterov momentum with adaptive restart.
+    ``step_size`` turns ``h`` into the step of a solve: 1 / bound^2 when h
+    is None, else h checked against the bound on ||A||. ``y0`` warm-starts
+    the dual iterate (zero when None). ``accelerated`` adds Nesterov
+    momentum with adaptive restart.
     """
 
     h: Optional[float] = None
@@ -93,17 +93,17 @@ class SolveConfig:
 
     def __post_init__(self):
         if not (self.h is None or _is_number(self.h)):
-            raise ConfigurationError(f"h must be a number or None, got {self.h!r}")
+            raise ConfigurationError(f"h must be a number or None, got {_shown(self.h)}")
         if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigurationError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}"
+                f"max_iter must be an integer >= 1, got {_shown(self.max_iter)}"
             )
         _positive("primal_tol", self.primal_tol, ConfigurationError)
         if not (self.y0 is None or isinstance(self.y0, Point)):
             raise ConfigurationError("y0 must be a Point or None")
         if not isinstance(self.accelerated, bool):
             raise ConfigurationError(
-                f"accelerated must be true or false, got {self.accelerated!r}"
+                f"accelerated must be true or false, got {_shown(self.accelerated)}"
             )
 
 
@@ -120,19 +120,16 @@ class SolveTrace:
     """Per-iteration trace, termination reason, and the bound on ||A|| and
     step h the solve used (the last three None on a trace read back from CSV).
 
-    The columns live in typed buffers (40 bytes per iteration); ``records``
-    is a read-only sequence that builds a TraceRecord per row on access.
+    ``append`` fills typed buffers (40 bytes per iteration); ``records`` is
+    a read-only sequence that builds a TraceRecord per row on access.
     """
 
-    def __init__(self, records: Iterable[TraceRecord] = (), termination: Optional[str] = None):
-        self.termination = termination
+    def __init__(self):
+        self.termination: Optional[str] = None
         self.norm_bound: Optional[float] = None
         self.h: Optional[float] = None
         # One buffer per TraceRecord field, in field order.
         self._columns = (array("q"),) + tuple(array("d") for _ in range(4))
-        for rec in records:
-            self.append(rec.k, rec.primal_residual, rec.dual_objective, rec.x_change,
-                        rec.y_change)
 
     def append(self, k: int, primal_residual: float, dual_objective: float,
                x_change: float, y_change: float) -> None:
@@ -181,39 +178,37 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(u.ravel() @ v.ravel())
 
 
-def step_size_bound(norm_bound: float) -> float:
-    """Upper end of the admissible open step interval for a given bound on
-    ||A||."""
-    return 2.0 / norm_bound**2
+def step_size(p: ProblemSpec, c: SolveConfig,
+              norm_bound: Optional[float] = None) -> Tuple[float, float]:
+    """(bound, h): the bound on ||A|| and the step of a solve of p under c.
 
-
-def default_step_size(norm_bound: float) -> float:
-    """Midpoint-safe 1/L choice: half the open-interval bound."""
-    return 1.0 / norm_bound**2
-
-
-def validate_config(c: SolveConfig, norm_bound: float) -> float:
-    """The step h a solve with bound norm_bound on ||A|| uses.
-
-    A given c.h must lie in the open interval (0, 2/bound^2), and for an
-    accelerated solve at most the 1/L step 1/bound^2, which is the step
-    taken when c.h is None. Neither depends on tau.
+    ``norm_bound`` None takes ``numerics.operator_norm_estimate`` (looked up
+    at call time, so a patch is seen) times 1.01: exact up to rounding for a
+    Dense with a small Gram matrix, a Lanczos lower estimate otherwise, and
+    never certified; a zero estimate admits no step. grad D is Lipschitz
+    with L = bound^2: h is 1/L when c.h is None, and a given c.h must lie in
+    (0, 2/L), and be at most 1/L for an accelerated solve. Neither uses tau.
     """
-    _positive("norm_bound", norm_bound, ConfigurationError)
-    cap = default_step_size(norm_bound)
+    if norm_bound is None:
+        estimate = numerics.operator_norm_estimate(p.op)
+        if estimate == 0.0:
+            raise ConfigurationError("the operator is zero: its estimated norm is 0")
+        norm_bound = estimate * 1.01
+    bound = _positive("norm_bound", norm_bound, ConfigurationError)
+    cap = 1.0 / bound**2
     if c.h is None:
-        return float(cap)
-    upper = step_size_bound(norm_bound)
+        return bound, cap
+    upper = 2.0 / bound**2
     if not (0.0 < c.h < upper):
         raise ConfigurationError(
-            f"step size h={c.h!r} outside the admissible open interval "
+            f"step size h={_shown(c.h)} outside the admissible open interval "
             f"(0, {upper!r})"
         )
     if c.accelerated and c.h > cap:
         raise ConfigurationError(
-            f"accelerated solve needs h <= {cap!r} (the 1/L bound); got {c.h!r}"
+            f"accelerated solve needs h <= {cap!r} (the 1/L bound); got {_shown(c.h)}"
         )
-    return float(c.h)
+    return bound, float(c.h)
 
 
 def _initial_state(p: ProblemSpec, c: SolveConfig) -> np.ndarray:
@@ -247,8 +242,8 @@ def solve(
     With ``c.accelerated``, w extrapolates the last two iterates (Nesterov
     momentum), and the momentum resets whenever <grad D(w), y_next - y> > 0,
     i.e. when it stops being a descent direction; the first step equals a
-    plain one. ``norm_bound`` (default ``estimated_bound(p)``) is the bound
-    on ||A|| that ``validate_config`` turns into the step h.
+    plain one. ``step_size`` gives the bound on ||A|| (``norm_bound``, an
+    estimate when None) and the step h.
 
     Returns the last consistent primal-dual pair (x, y) with
     x = tau*prox(A*y/tau), and the per-iteration trace, which records
@@ -258,9 +253,7 @@ def solve(
     change or y change is not finite; the returned pair is the finite one
     that produced it).
     """
-    if norm_bound is None:
-        norm_bound = estimated_bound(p)
-    h = validate_config(c, norm_bound)
+    norm_bound, h = step_size(p, c, norm_bound)
 
     op = p.op
     b = p.b.data
@@ -342,19 +335,3 @@ def solve(
             x = primal_from_dual(p, w)
     return Point(x), Point(w), trace
 
-
-def estimated_bound(p: ProblemSpec) -> float:
-    """Default bound on ||A||: ``numerics.operator_norm_estimate`` inflated
-    by 1%.
-
-    The estimate is exact up to rounding for a wide or tall Dense (the top
-    eigenvalue of its explicit smaller Gram matrix) and a Lanczos lower
-    estimate otherwise; neither is a certified bound. It is resolved through
-    the numerics module at call time, so a patched
-    numerics.operator_norm_estimate is seen here too. A zero estimate is a
-    ConfigurationError: a zero operator admits no step.
-    """
-    estimate = numerics.operator_norm_estimate(p.op)
-    if estimate == 0.0:
-        raise ConfigurationError("the operator is zero: its estimated norm is 0")
-    return estimate * 1.01

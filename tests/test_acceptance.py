@@ -23,11 +23,8 @@ from augdual.solver import (
     ConfigurationError,
     ProblemSpec,
     SolveConfig,
-    default_step_size,
-    estimated_bound,
     solve,
-    step_size_bound,
-    validate_config,
+    step_size,
 )
 
 
@@ -50,8 +47,8 @@ def ref_problem():
     model, truth = generate_instance(REF_SPEC)
     tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
     p = build_problem(AugL1Model(model.A, model.b, tau=tau))
-    bound = estimated_bound(p)
-    return p, bound
+    bound, h = step_size(p, SolveConfig())
+    return p, bound, h
 
 
 def test_criterion_1_prox_identities():
@@ -190,8 +187,7 @@ def test_criterion_2_gradient_correctness():
 
 def test_criterion_3_fejer_monotonicity(ref_problem):
     start = time.perf_counter()
-    p, bound = ref_problem
-    h = default_step_size(bound)
+    p, _, h = ref_problem
     k_short = 2000
 
     def iterate(n_steps):
@@ -237,12 +233,12 @@ def test_criterion_4_oracle_match():
 
 
 def test_criterion_5_step_size_gate(ref_problem):
-    p, bound = ref_problem
-    upper = step_size_bound(bound)
+    p, bound, _ = ref_problem
+    upper = 2.0 / bound**2  # the paper's 2/L, L = ||A||^2
     rejected = True
     for h in (upper, 1.3 * upper):
         try:
-            validate_config(SolveConfig(h=h), bound)
+            step_size(p, SolveConfig(h=h), bound)
             rejected = False
         except ConfigurationError:
             pass
@@ -271,8 +267,7 @@ def test_criterion_6_svt_reproduction():
     )
     tau = tau_heuristic(model)
     p = build_problem(replace(model, tau=tau))
-    bound = estimated_bound(p)
-    h = default_step_size(bound)
+    bound, h = step_size(p, SolveConfig())
 
     # hand-coded SVT recursion on the compact sample vector
     rows, cols = model.mask.indices.T
@@ -338,8 +333,7 @@ def test_criterion_7_rpca():
 
 
 def test_criterion_8_gauge_path_consistency(ref_problem):
-    p, bound = ref_problem
-    h = default_step_size(bound)
+    p, _, h = ref_problem
     worst = 0.0
 
     def run_pair(p_norm, p_gauge, hh):
@@ -362,14 +356,14 @@ def test_criterion_8_gauge_path_consistency(ref_problem):
     mat_op = _MatrixDense(p.op.matrix, (10, 5))
     pn = ProblemSpec(mat_op, p.b, NormSpec("nuclear"), tau=p.tau)
     pg = ProblemSpec(mat_op, p.b, NormGauge(NormSpec("nuclear")), tau=p.tau)
-    run_pair(pn, pg, default_step_size(bound))
+    run_pair(pn, pg, h)
 
     ok = worst <= 1e-12
     _report(8, ok, f"max iterate gap {worst:.2e} <= 1e-12 over 100 iterations")
 
 
 def test_criterion_9_acceleration_sanity(ref_problem):
-    p, bound = ref_problem
+    p, bound, _ = ref_problem
     cfg = SolveConfig(primal_tol=1e-8)
     x_plain, _, tr_plain = solve(p, cfg, norm_bound=bound)
     x_acc, _, tr_acc = solve(p, replace(cfg, accelerated=True), norm_bound=bound)

@@ -23,13 +23,7 @@ from augdual.cli import (
     write_instance,
 )
 from augdual.models import build_problem
-from augdual.solver import (
-    ConfigurationError,
-    SolveTrace,
-    TraceRecord,
-    default_step_size,
-    estimated_bound,
-)
+from augdual.solver import ConfigurationError, SolveConfig, SolveTrace, step_size
 
 L1_SPEC = {"kind": "aug_l1", "seed": 7, "n": 8, "m": 4, "k": 2}
 RPCA_SPEC = {"kind": "rpca", "seed": 7, "rows": 5, "cols": 4, "rank": 1, "k": 2}
@@ -114,13 +108,9 @@ def test_instance_roundtrip_rpca(tmp_path):
 
 
 def test_trace_roundtrip_exact(tmp_path):
-    trace = SolveTrace(
-        records=[
-            TraceRecord(1, 0.1 + 1e-17, -3.3333333333333335, 1.0 / 3.0, np.pi),
-            TraceRecord(2, 5e-300, 0.0, 1e300, 2.2250738585072014e-308),
-        ],
-        termination="max_iter",
-    )
+    trace = SolveTrace()
+    trace.append(1, 0.1 + 1e-17, -3.3333333333333335, 1.0 / 3.0, np.pi)
+    trace.append(2, 5e-300, 0.0, 1e300, 2.2250738585072014e-308)
     path = tmp_path / "trace.csv"
     emit_trace(trace, path)
     back = read_trace(path)
@@ -171,8 +161,7 @@ def test_run_experiment_end_to_end(tmp_path, capsys, monkeypatch):
     assert len(trace.records) == report["n_iter"]
     model, _ = generate_instance(InstanceSpec.from_dict(L1_SPEC))
     problem = build_problem(dataclasses.replace(model, tau=report["tau"]))
-    assert report["norm_bound"] == estimated_bound(problem)
-    assert report["h"] == default_step_size(report["norm_bound"])
+    assert (report["norm_bound"], report["h"]) == step_size(problem, SolveConfig())
     [solved] = traces
     assert (report["norm_bound"], report["h"]) == (solved.norm_bound, solved.h)
 
@@ -494,7 +483,7 @@ def test_main_names_a_file_that_is_not_json(document, command, text, tmp_path, c
 BIG = 10**400  # a JSON integer that no float holds
 
 # The stored instance's spec, the document edited, the edit, the command that
-# reads the document, and the text that names the field (None: exit 2 only).
+# reads the document, and the text that names the field.
 _OVERSIZED = {
     "tau_value": (L1_SPEC, "config.json", lambda cfg: {**cfg, "tau": {"value": BIG}},
                   "solve", "tau must be finite and positive"),
@@ -515,10 +504,18 @@ _OVERSIZED = {
                    "check", "solution.json: y: int too large"),
     # Fields that compare an integer with a bound and convert nothing.
     "h": (L1_SPEC, "config.json", lambda cfg: {**cfg, "solve": {"h": BIG}},
-          "solve", "step size h="),
+          "solve", "step size h=an integer of 401 digits outside"),
     "gen_p": (L1_SPEC, "spec.json", lambda spec: {**MC_SPEC, "p": BIG}, "gen", "p <= 1"),
     "gen_k": (L1_SPEC, "spec.json", lambda spec: {**spec, "k": BIG}, "gen", "k <= n"),
-    "gen_n": (L1_SPEC, "spec.json", lambda spec: {**spec, "n": BIG}, "gen", None),
+    # Sizes that numpy rejects before it allocates anything.
+    "gen_n": (L1_SPEC, "spec.json", lambda spec: {**spec, "n": BIG}, "gen",
+              "fields ['n'] are too large"),
+    "gen_m": (L1_SPEC, "spec.json", lambda spec: {**spec, "m": BIG}, "gen",
+              "fields ['m'] are too large"),
+    "gen_rows": (L1_SPEC, "spec.json", lambda spec: {**MC_SPEC, "rows": BIG}, "gen",
+                 "fields ['rows'] are too large"),
+    "gen_cols": (L1_SPEC, "spec.json", lambda spec: {**RPCA_SPEC, "cols": BIG}, "gen",
+                 "fields ['cols'] are too large"),
 }
 
 
@@ -533,7 +530,16 @@ def test_main_names_an_integer_too_large_for_a_float(
     capsys.readouterr()
     assert main(args[command]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error") and (name is None or name in err)
+    assert err.startswith("configuration error") and name in err
+
+
+def test_gen_names_the_sizes_whose_element_count_overflows(tmp_path, capsys):
+    # Each size fits numpy's index type, their product does not: numpy
+    # rejects the array before it allocates anything.
+    _write_json(tmp_path / "spec.json", {**L1_SPEC, "m": 2**40, "n": 2**40})
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: instance fields ['m', 'n'] are too large")
 
 
 @pytest.mark.parametrize("tau", [True, "10"])

@@ -66,16 +66,31 @@ def test_point_and_dense_reject_non_finite_entries(bad):
 
 
 def test_each_rule_rejects_an_integer_too_large_for_a_float():
-    big = 10**400
-    assert linop._is_integer(big) and linop._is_number(big)
-    with pytest.raises(ValueError, match="point entries must be finite"):
-        Point([1.0, big])
-    with pytest.raises(ValueError, match="dense operator entries must be finite"):
-        Dense([[1.0, big]])
-    with pytest.raises(ValueError, match="lam must be finite and positive"):
-        linop._positive("lam", big)
-    with pytest.raises(KeyError, match="tau must be finite and positive"):
-        linop._positive("tau", -big, KeyError)
+    # 10**5000 has more digits than Python converts to text.
+    for big, digits in ((10**400, 401), (10**5000, 5001)):
+        assert linop._is_integer(big) and linop._is_number(big)
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            Point([1.0, big])
+        with pytest.raises(ValueError, match="dense operator entries must be finite"):
+            Dense([[1.0, big]])
+        with pytest.raises(ValueError, match=f"lam must be finite and positive, got an "
+                                             f"integer of {digits} digits$"):
+            linop._positive("lam", big)
+        with pytest.raises(KeyError, match=f"tau must be finite and positive, got a "
+                                           f"negative integer of {digits} digits"):
+            linop._positive("tau", -big, KeyError)
+
+
+def test_error_messages_show_a_value_in_at_most_forty_characters():
+    for digits in range(1, 200):
+        assert len(linop._shown(10 ** (digits - 1))) <= 40
+    for digits in (100, 401, 4300, 4301, 5001):
+        assert linop._shown(10 ** (digits - 1)) == f"an integer of {digits} digits"
+        assert linop._shown(1 - 10**digits) == f"a negative integer of {digits} digits"
+    assert linop._shown(10**40) == "1" + "0" * 36 + "..."
+    assert linop._shown("x" * 50) == "'" + "x" * 36 + "..."
+    for value in (np.int64(-3), [0.4], True, "0.4", 10**39):
+        assert linop._shown(value) == repr(value)
 
 
 def test_rules_accept_numpy_scalars_but_no_bools():

@@ -56,7 +56,8 @@ def test_tau_rule_rpca():
     assert tau_heuristic(model) == pytest.approx(30.9839, abs=5e-4)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, True, "0.5", 10**400])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, True, "0.5", 10**400,
+                                 pytest.param(10**5000, id="10**5000")])
 def test_rpca_model_rejects_a_lam_that_is_not_finite_and_positive(lam):
     with pytest.raises(ValueError, match="lam must be finite and positive"):
         RpcaModel(np.eye(2), lam=lam)

@@ -80,7 +80,7 @@ def test_kkt_report_detects_violations():
 
 def test_bruteforce_prox_matches_soft_threshold():
     got = prox_bruteforce(
-        lambda x: float(np.sum(np.abs(x))), np.array([2.0, -0.4]),
+        lambda x: np.sum(np.abs(x), axis=1), np.array([2.0, -0.4]),
         grid_half_width=3.0, grid_points=201,
     )
     assert np.max(np.abs(got - [1.0, 0.0])) <= 0.031
@@ -88,6 +88,6 @@ def test_bruteforce_prox_matches_soft_threshold():
 
 def test_bruteforce_prox_caps():
     with pytest.raises(ValueError):
-        prox_bruteforce(lambda x: 0.0, np.zeros(4), 1.0, 11)
+        prox_bruteforce(lambda x: np.zeros(len(x)), np.zeros(4), 1.0, 11)
     with pytest.raises(ValueError):
-        prox_bruteforce(lambda x: 0.0, np.zeros(2), 1.0, 501)
+        prox_bruteforce(lambda x: np.zeros(len(x)), np.zeros(2), 1.0, 501)

@@ -53,7 +53,7 @@ def test_linf_prox_against_bruteforce():
         v = 2.0 * rng.standard_normal(3)
         got = prox_norm(spec, v, 0.7)
         ref = prox_bruteforce(
-            lambda x: 0.7 * float(np.max(np.abs(x))), v,
+            lambda x: 0.7 * np.max(np.abs(x), axis=1), v,
             grid_half_width=3.0, grid_points=41,
         )
         assert np.max(np.abs(got - ref)) <= 0.12
@@ -66,7 +66,7 @@ def test_l1_prox_against_bruteforce():
         v = 2.0 * rng.standard_normal(3)
         got = prox_norm(spec, v, 0.9)
         ref = prox_bruteforce(
-            lambda x: 0.9 * float(np.sum(np.abs(x))), v,
+            lambda x: 0.9 * np.sum(np.abs(x), axis=1), v,
             grid_half_width=3.0, grid_points=41,
         )
         assert np.max(np.abs(got - ref)) <= 0.12

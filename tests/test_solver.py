@@ -17,12 +17,9 @@ from augdual.solver import (
     ConfigurationError,
     ProblemSpec,
     SolveConfig,
-    default_step_size,
-    estimated_bound,
     primal_from_dual,
     solve,
-    step_size_bound,
-    validate_config,
+    step_size,
 )
 
 
@@ -50,32 +47,43 @@ def test_hand_iteration_scalar():
 
 
 def test_step_size_interval():
-    bound = step_size_bound(2.0)
-    assert bound == pytest.approx(2.0 / 4.0)
-    assert validate_config(SolveConfig(h=0.5 * bound), 2.0) == 0.5 * bound
-    for bad in (0.0, -1.0, bound, 1.5 * bound):
-        with pytest.raises(ConfigurationError):
-            validate_config(SolveConfig(h=bad), 2.0)
+    # The paper's interval (0, 2/L) with L = ||A||^2 = 4, and 1/L by default.
+    p, _ = _l1_problem()
+    upper = 2.0 / 2.0**2
+    assert step_size(p, SolveConfig(), 2.0) == (2.0, 1.0 / 2.0**2)
+    assert step_size(p, SolveConfig(h=0.5 * upper), 2.0) == (2.0, 0.5 * upper)
+    for bad in (0.0, -1.0, upper, 1.5 * upper, 10**5000):
+        with pytest.raises(ConfigurationError, match="outside the admissible open interval"):
+            step_size(p, SolveConfig(h=bad), 2.0)
 
 
 def test_accelerated_step_cap():
-    cap = default_step_size(2.0)
-    validate_config(SolveConfig(h=cap, accelerated=True), 2.0)
-    with pytest.raises(ConfigurationError):
-        validate_config(SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
+    p, _ = _l1_problem()
+    cap = 1.0 / 2.0**2
+    assert step_size(p, SolveConfig(h=cap, accelerated=True), 2.0) == (2.0, cap)
+    with pytest.raises(ConfigurationError, match="the 1/L bound"):
+        step_size(p, SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
 
 
-@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0, True, 10**400])
+@pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1.0, True, 10**400,
+                                   pytest.param(10**5000, id="10**5000")])
 def test_norm_bound_must_be_finite_and_positive(bound):
     p, _ = _l1_problem()
     with pytest.raises(ConfigurationError, match="norm_bound"):
-        validate_config(SolveConfig(), bound)
+        step_size(p, SolveConfig(), bound)
     with pytest.raises(ConfigurationError, match="norm_bound"):
         solve(p, SolveConfig(), norm_bound=bound)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, True, 10**400,
+                                 pytest.param(10**5000, id="10**5000")])
+def test_primal_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ConfigurationError, match="primal_tol must be finite and positive"):
+        SolveConfig(primal_tol=tol)
+
+
 def test_solve_config_rejects_a_budget_below_one():
-    for max_iter in (0, -3):
+    for max_iter in (0, -3, -10**5000):
         with pytest.raises(ConfigurationError, match="max_iter"):
             SolveConfig(max_iter=max_iter)
 
@@ -154,9 +162,8 @@ def test_warm_start_resumes():
 def test_trace_records_bound_and_step():
     p, _ = _l1_problem()
     _, _, trace = solve(p, SolveConfig(primal_tol=1e-10))
-    assert trace.norm_bound == estimated_bound(p)
-    assert trace.h == default_step_size(trace.norm_bound)
-    h = 0.5 * default_step_size(2.0)
+    assert (trace.norm_bound, trace.h) == step_size(p, SolveConfig())
+    h = 0.5 / 2.0**2
     for accelerated in (False, True):
         _, _, trace = solve(p, SolveConfig(h=h, max_iter=5, accelerated=accelerated),
                             norm_bound=2.0)
@@ -389,7 +396,7 @@ def test_solve_builds_a_fixed_number_of_points(spec, accelerated, monkeypatch):
     # Points a solve builds, whatever its iteration count, are the returned
     # pair (x, y).
     p = _small_problem(spec)
-    bound = estimated_bound(p)
+    bound, _ = step_size(p, SolveConfig())
     built = 0
     post_init = Point.__post_init__
 
@@ -504,12 +511,11 @@ def test_carried_adjoint_keeps_the_textbook_iterates(spec):
     # For the sampling and block-sum operators, carrying A*y through the
     # loop gives the same bits as taking the adjoint of every iterate.
     p = _small_problem(spec)
-    bound = estimated_bound(p)
+    bound, h = step_size(p, SolveConfig())
     iterations = 30
     x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14),
                         norm_bound=bound)
     assert trace.termination == "max_iter"
-    h = default_step_size(bound)
     y_ref = np.zeros(p.op.codomain_shape)
     for _ in range(iterations):
         y_ref, _ = step(p, y_ref, h)
@@ -522,12 +528,11 @@ def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
     # The same with momentum and restart, against the accelerated iteration
     # written out with one adjoint per gradient.
     p = _small_problem(spec)
-    bound = estimated_bound(p)
+    bound, h = step_size(p, SolveConfig())
     iterations = 40
     x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14,
                                        accelerated=True), norm_bound=bound)
     assert trace.termination == "max_iter"
-    h = default_step_size(bound)
     y_ref = w = np.zeros(p.op.codomain_shape)
     t = 1.0
     restarts = 0
