@@ -59,10 +59,11 @@ def _is_integer(value) -> bool:
 
 
 def _shown(value) -> str:
-    """``repr(value)`` cut to 40 characters; an integer of more than 160 bits
-    as its digit count, from its bit length (Python converts <= 4300 digits)."""
+    """An integer of 40 or more digits as its digit count, from its bit length
+    (Python converts at most 4300 digits to text); else ``repr(value)`` cut
+    to 40 characters."""
     size = abs(int(value)) if _is_integer(value) else 0
-    if size.bit_length() > 160:
+    if size >= 10**39:
         digits = int(size.bit_length() * math.log10(2)) + 1
         digits -= size < 10 ** (digits - 1)
         return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"

@@ -111,6 +111,8 @@ def test_trace_roundtrip_exact(tmp_path):
     trace = SolveTrace()
     trace.append(1, 0.1 + 1e-17, -3.3333333333333335, 1.0 / 3.0, np.pi)
     trace.append(2, 5e-300, 0.0, 1e300, 2.2250738585072014e-308)
+    trace.termination = "max_iter"
+    trace.norm_bound, trace.h = 2.0, 0.25
     path = tmp_path / "trace.csv"
     emit_trace(trace, path)
     back = read_trace(path)

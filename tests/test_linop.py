@@ -84,12 +84,13 @@ def test_each_rule_rejects_an_integer_too_large_for_a_float():
 def test_error_messages_show_a_value_in_at_most_forty_characters():
     for digits in range(1, 200):
         assert len(linop._shown(10 ** (digits - 1))) <= 40
-    for digits in (100, 401, 4300, 4301, 5001):
+        assert len(linop._shown(1 - 10**digits)) <= 40
+    # An integer is never cut: up to 39 digits it is its repr, beyond its size.
+    for digits in (40, 41, 48, 100, 401, 4300, 4301, 5001):
         assert linop._shown(10 ** (digits - 1)) == f"an integer of {digits} digits"
         assert linop._shown(1 - 10**digits) == f"a negative integer of {digits} digits"
-    assert linop._shown(10**40) == "1" + "0" * 36 + "..."
     assert linop._shown("x" * 50) == "'" + "x" * 36 + "..."
-    for value in (np.int64(-3), [0.4], True, "0.4", 10**39):
+    for value in (np.int64(-3), [0.4], True, "0.4", 10**39 - 1, 1 - 10**39):
         assert linop._shown(value) == repr(value)
 
 
