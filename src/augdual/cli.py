@@ -107,6 +107,8 @@ class InstanceSpec:
                 raise ValueError(
                     f"instance field {name!r} must be of type {field.type}, got {_shown(value)}"
                 )
+        if self.seed < 0:  # numpy's seeding rule, named here
+            raise ValueError(f"instance field 'seed' must be >= 0, got {_shown(self.seed)}")
         if self.kind == "aug_l1":
             if not (1 <= self.k <= self.n) or self.m < 1:
                 raise ValueError("aug_l1 needs 1 <= k <= n and m >= 1")
@@ -387,6 +389,7 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         "wall_ms": None,
         "tau": problem.tau,
         "norm_bound": trace.norm_bound,
+        "norm_method": trace.norm_method,
         "h": trace.h,
     }
     if "trace" in out_cfg:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -98,11 +99,23 @@ def _finite(name: str, values) -> np.ndarray:
 
 def _positive_shape(shape, kind: str) -> Tuple[int, int]:
     """``shape`` as a pair of Python ints; a ValueError naming ``kind``
-    unless it is two positive integers (no floats, bools or other lengths)."""
+    unless it is two positive integers (no floats, bools or other lengths)
+    whose product numpy can index."""
     dims = tuple(shape) if np.iterable(shape) else ()
-    if len(dims) != 2 or not all(_is_integer(d) and d > 0 for d in dims):
-        raise ValueError(f"{kind} shape {shape!r} is not two positive integers")
-    return (int(dims[0]), int(dims[1]))
+    if len(dims) == 2 and all(_is_integer(d) and d > 0 for d in dims):
+        rows, cols = int(dims[0]), int(dims[1])
+        # numpy's intp is Py_ssize_t, whose maximum sys.maxsize reads faster
+        # than np.iinfo.
+        if rows * cols <= sys.maxsize:
+            return (rows, cols)
+        problem = "has more elements than numpy can index"
+    else:
+        problem = "is not two positive integers"
+    if isinstance(shape, (tuple, list)):  # each entry echoed on its own
+        shown = f"({', '.join(map(_shown, dims))}{',' * (len(dims) == 1)})"
+    else:
+        shown = _shown(shape)
+    raise ValueError(f"{kind} shape {shown} {problem}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,7 @@ def ref_problem():
     model, truth = generate_instance(REF_SPEC)
     tau = tau_heuristic(model, magnitude=float(np.max(np.abs(truth.data))))
     p = build_problem(AugL1Model(model.A, model.b, tau=tau))
-    bound, h = step_size(p, SolveConfig())
+    bound, h, _ = step_size(p, SolveConfig())
     return p, bound, h
 
 
@@ -267,7 +267,7 @@ def test_criterion_6_svt_reproduction():
     )
     tau = tau_heuristic(model)
     p = build_problem(replace(model, tau=tau))
-    bound, h = step_size(p, SolveConfig())
+    bound, h, _ = step_size(p, SolveConfig())
 
     # hand-coded SVT recursion on the compact sample vector
     rows, cols = model.mask.indices.T
@@ -402,3 +402,61 @@ def test_criterion_10_determinism(tmp_path, capsys):
     capsys.readouterr()
     ok = outputs[0] == outputs[1]
     _report(10, ok, "trace and report byte-identical across two runs")
+
+
+def test_criterion_11_rates_at_the_default_step():
+    # Plain descent at the default step h = PLAIN_STEP / b^2 of a certified
+    # bound b, written out by oracle.step for 3000 iterations on one instance
+    # per kind. Over gaps D(y_k) - D* above 1e-9 |D*|, k >= 1 (k = 0 meets
+    # (a) with equality):
+    # (a) the gap is within Nesterov's bound for h < 2/L (Introductory
+    #     Lectures, 2004, Thm 2.1.14), 2 (D0 - D*) R^2 / (2 R^2 + k h (2 - h
+    #     b^2) (D0 - D*)), R = ||y0 - y*||;
+    # (b) ||x_k - x*||^2 <= 2 (D(y_k) - D*), since D = psi(A*y) - <y, b>
+    #     with psi 1-smooth and x = grad psi(A*y).
+    # D*, x* and y* come from an accelerated solve at primal_tol 1e-13.
+    start = time.perf_counter()
+    specs = (
+        {"kind": "aug_l1", "seed": 11, "m": 40, "n": 200, "k": 4},
+        {"kind": "matrix_completion", "seed": 11, "rows": 24, "cols": 12, "rank": 1,
+         "p": 0.9},
+        {"kind": "rpca", "seed": 11, "rows": 24, "cols": 8, "rank": 1, "k": 2,
+         "lam": 0.35},
+    )
+    worst = {}
+    methods = []
+    for spec in specs:
+        model, truth = generate_instance(InstanceSpec.from_dict(spec))
+        magnitude = float(np.max(np.abs(truth.data))) if spec["kind"] == "aug_l1" else None
+        p = build_problem(replace(model, tau=tau_heuristic(model, magnitude=magnitude)))
+        bound, h, method = step_size(p, SolveConfig())
+        methods.append(method)
+        x_star, y_star, _ = solve(
+            p, SolveConfig(primal_tol=1e-13, max_iter=500_000, accelerated=True))
+        d_star = dual_objective(p, y_star.data)
+        y = np.zeros(p.op.codomain_shape)
+        d0 = dual_objective(p, y) - d_star
+        r2 = float(np.sum((y - y_star.data) ** 2))
+        omega = h * (2.0 - h * bound**2)
+        rate = dist = 0.0
+        for k in range(3001):
+            gap = dual_objective(p, y) - d_star
+            y_next, x = step(p, y, h)  # x = x(y_k)
+            if k >= 1 and gap > 1e-9 * abs(d_star):
+                rate = max(rate, gap * (2 * r2 + k * omega * d0) / (2 * d0 * r2))
+                dist = max(dist, float(np.sum((x - x_star.data) ** 2)) / (2 * gap))
+            y = y_next
+        worst[spec["kind"]] = (rate, dist)
+    elapsed = time.perf_counter() - start
+    ok = (
+        all(method in ("exact", "gram") for method in methods)
+        and all(max(pair) <= 1 + 1e-6 for pair in worst.values())
+        and elapsed < 10.0
+    )
+    detail = ", ".join(f"{kind} {rate:.3f}/{dist:.7f}" for kind, (rate, dist) in worst.items())
+    _report(
+        11,
+        ok,
+        f"methods {methods} certified, gap/rate bound and |x - x*|^2/(2 gap) "
+        f"{detail} <= 1 + 1e-6, {elapsed:.1f}s < 10s",
+    )

@@ -163,9 +163,10 @@ def test_run_experiment_end_to_end(tmp_path, capsys, monkeypatch):
     assert len(trace.records) == report["n_iter"]
     model, _ = generate_instance(InstanceSpec.from_dict(L1_SPEC))
     problem = build_problem(dataclasses.replace(model, tau=report["tau"]))
-    assert (report["norm_bound"], report["h"]) == step_size(problem, SolveConfig())
+    stated = (report["norm_bound"], report["h"], report["norm_method"])
+    assert stated == step_size(problem, SolveConfig())
     [solved] = traces
-    assert (report["norm_bound"], report["h"]) == (solved.norm_bound, solved.h)
+    assert stated == (solved.norm_bound, solved.h, solved.norm_method)
 
 
 def test_reports_and_traces_are_byte_identical(tmp_path):
@@ -282,7 +283,7 @@ def test_main_rejects_a_non_integer_stored_shape(tmp_path, capsys):
     check = ["check", "--problem", str(inst), "--solution", str(tmp_path / "solution.json")]
     assert main(check) == EXIT_OK
     meta = json.loads(inst.read_text())
-    for shape in ([6.9, 5], [6, True]):
+    for shape in ([6.9, 5], [6, True], [10**400, 5]):
         _write_json(inst, {**meta, "shape": shape})
         capsys.readouterr()
         assert main(["solve", "--config", str(cfg_path)]) == EXIT_CONFIG
@@ -392,6 +393,7 @@ _BAD_FIELDS = {
     "instance_path_number": ({"instance": None, "instance_path": 5}, "instance_path"),
     "instance_n_float": ({"instance": {**L1_SPEC, "n": 30.5}}, "'n'"),
     "instance_seed_string": ({"instance": {**L1_SPEC, "seed": "1"}}, "'seed'"),
+    "instance_seed_negative": ({"instance": {**L1_SPEC, "seed": -1}}, "'seed' must be >= 0"),
     "lam_nan": ({"instance": {**RPCA_SPEC, "lam": math.nan}, "tau": {"value": 50}}, "lam"),
     "lam_inf": ({"instance": {**RPCA_SPEC, "lam": math.inf}, "tau": {"value": 50}}, "lam"),
     "instance_rank_range": ({"instance": {**MC_SPEC, "rank": 6}}, "rank"),
@@ -533,6 +535,20 @@ def test_main_names_an_integer_too_large_for_a_float(
     assert main(args[command]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and name in err
+
+
+@pytest.mark.parametrize("seed", [-1, -10**5000], ids=["-1", "-10**5000"])
+def test_gen_rejects_a_negative_seed(seed, tmp_path, capsys):
+    # numpy's own message ("expected non-negative integer") names no field.
+    spec = {**L1_SPEC, "seed": seed}
+    with pytest.raises(ValueError, match="instance field 'seed' must be >= 0"):
+        InstanceSpec.from_dict(spec)
+    if seed == -1:  # JSON text of 5001 digits is not read back
+        _write_json(tmp_path / "spec.json", spec)
+        assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "configuration error: instance field 'seed' must be >= 0, got -1\n"
 
 
 def test_gen_names_the_sizes_whose_element_count_overflows(tmp_path, capsys):
@@ -745,7 +761,7 @@ def test_main_gram_eigh_failure_is_numerical_exit(tmp_path, monkeypatch, capsys)
 def test_diverging_solve_is_numerical_exit(tmp_path, monkeypatch, capsys):
     # A bound far below ||A|| makes the default step too long; the iterates
     # diverge and the solve must end as a numerical failure, not exit 2.
-    monkeypatch.setattr(numerics, "operator_norm_estimate", lambda op: 1e-3)
+    monkeypatch.setattr(numerics, "operator_norm_estimate", lambda op: (1e-3, "lanczos"))
     cfg_path = tmp_path / "config.json"
     _write_json(cfg_path, {"instance": dict(L1_SPEC), "tau": {"rule": "heuristic"},
                            "solve": {}, "output": {"report": "report.json"}})

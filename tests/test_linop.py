@@ -188,6 +188,24 @@ def test_blocksum_rejects_a_shape_that_is_not_two_positive_integers():
     assert type(BlockSum((np.int64(2), 3)).shape[0]) is int
 
 
+@pytest.mark.parametrize("make", [SamplingMask, BlockSum])
+def test_a_shape_is_echoed_by_digit_count_and_must_fit_numpy_index(make):
+    # No array is built to find out; an integer of 5001 digits is echoed by
+    # its digit count, not converted to text.
+    name = "sampling" if make is SamplingMask else "block-sum"
+    build = (lambda shape: make(shape, [[0, 0]])) if make is SamplingMask else make
+    with pytest.raises(ValueError, match=f"{name} shape \\(a negative integer of 5001 "
+                                         "digits, 2\\) is not two positive integers"):
+        build((-10**5000, 2))
+    for shape in ((10**400, 2), (2**32, 2**32)):
+        with pytest.raises(ValueError, match=f"{name} shape .* has more elements than "
+                                             "numpy can index"):
+            build(shape)
+    with pytest.raises(ValueError, match="integer of 401 digits"):
+        build((2, 10**400))
+    assert build((2**31, 2**31)).shape == (2**31, 2**31)
+
+
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (5,), (2, 3, 4)])
 def test_dense_rejects_a_matrix_that_is_not_two_positive_dimensions(shape):
     with pytest.raises(ValueError, match="dense shape"):

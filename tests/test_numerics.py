@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,16 +182,16 @@ def test_svt_makes_one_svd_call_when_nothing_is_kept(monkeypatch):
 
 
 def test_operator_norm_identity_and_diag():
-    assert operator_norm_estimate(Dense(np.eye(5))) == pytest.approx(1.0, abs=1e-8)
-    assert operator_norm_estimate(Dense(np.diag([2.0, 1.0]))) == pytest.approx(
-        2.0, abs=1e-8
-    )
+    value, method = operator_norm_estimate(Dense(np.eye(5)))
+    assert method == "lanczos" and value == pytest.approx(1.0, abs=1e-8)
+    value, method = operator_norm_estimate(Dense(np.diag([2.0, 1.0])))
+    assert method == "lanczos" and value == pytest.approx(2.0, abs=1e-8)
 
 
 def test_operator_norm_sampling_mask_is_one():
     op = SamplingMask((3, 3), ((0, 0), (1, 2), (2, 1)))
-    est = operator_norm_estimate(op)
-    assert est == pytest.approx(1.0, abs=1e-8)
+    est, method = operator_norm_estimate(op)
+    assert (est, method) == (1.0, "exact")
     # crosscheck against the svd of the dense form of the projection
     dense = np.zeros((3, 9))
     for row, (i, j) in enumerate(op.indices):
@@ -201,16 +203,30 @@ def test_operator_norm_matches_svd_on_dense():
     rng = np.random.default_rng(9)
     for _ in range(5):
         mat = rng.standard_normal((7, 5))
-        est = operator_norm_estimate(Dense(mat))
+        est, method = operator_norm_estimate(Dense(mat))
+        assert method == "lanczos"
         top = svd(mat).s[0]
         assert abs(est - top) <= 1e-6 * top
         assert est <= top * (1 + 1e-12)
 
 
+def test_operator_norm_of_a_subclassed_mask_is_estimated():
+    # A subclass may change the maps, so its norm is not taken as exact.
+    class Doubled(SamplingMask):
+        def _apply(self, x):
+            return 2.0 * super()._apply(x)
+
+        def _adjoint(self, y):
+            return 2.0 * super()._adjoint(y)
+
+    value, method = operator_norm_estimate(Doubled((3, 3), ((0, 0), (1, 2))))
+    assert method == "lanczos" and value == pytest.approx(2.0, rel=1e-12)
+
+
 def test_operator_norm_blocksum_is_sqrt2():
-    assert operator_norm_estimate(BlockSum((4, 3))) == pytest.approx(
-        np.sqrt(2.0), abs=1e-6
-    )
+    value, method = operator_norm_estimate(BlockSum((4, 3)))
+    assert method == "exact" and value == math.sqrt(2.0)
+    assert Fraction(value) ** 2 >= 2  # an upper bound on sqrt 2, exactly
 
 
 def test_power_iteration_unconverged_flag(monkeypatch):
@@ -314,14 +330,15 @@ def test_lanczos_gram_path_on_wide_and_tall_dense(shape, monkeypatch):
     op = Dense(mat)
     before = dict(vars(op))
     calls = _counting_maps(monkeypatch)
-    value = operator_norm_estimate(op)
-    assert abs(value - top) <= 1e-14 * top
+    value, method = operator_norm_estimate(op)
+    assert method == "gram"
+    assert top <= value <= top * (1 + _stated_delta(mat))
     # The value comes from the Gram matrix alone, which the operator does
     # not keep.
     assert calls == {"apply": 0, "adjoint": 0}
     assert vars(op) == before
-    # Lanczos through the maps lands on the same value up to rounding, and
-    # not above it.
+    # Lanczos through the maps lands on the same value up to rounding and
+    # the stated delta, and not above it.
     lanczos_value, converged, _ = lanczos_norm(op)
     assert converged and abs(value - lanczos_value) <= 1e-12 * top
     assert lanczos_value <= value * (1 + 1e-14)
@@ -361,7 +378,7 @@ def test_lanczos_measures_an_overridden_map():
     top = np.linalg.norm(mat, 2)
     assert converged and abs(value - 3.0 * top) <= 1e-12 * top
     # An operator other than Dense skips the Gram path, which reads a matrix.
-    assert operator_norm_estimate(_Tripled(mat)) == value
+    assert operator_norm_estimate(_Tripled(mat)) == (value, "lanczos")
 
 
 def test_lanczos_gram_path_step_cap(monkeypatch):
@@ -371,11 +388,38 @@ def test_lanczos_gram_path_step_cap(monkeypatch):
     monkeypatch.setattr(numerics, "_LANCZOS_MAX_STEPS", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = operator_norm_estimate(Dense(mat))
+        value, method = operator_norm_estimate(Dense(mat))
     top = np.linalg.norm(mat, 2)
-    assert abs(value - top) <= 1e-14 * top
+    assert method == "gram" and top <= value <= top * (1 + _stated_delta(mat))
 
 
 def test_lanczos_gram_path_zero_operator():
-    assert operator_norm_estimate(Dense(np.zeros((2, 20)))) == 0.0
+    assert operator_norm_estimate(Dense(np.zeros((2, 20)))) == (0.0, "gram")
+
+
+def _stated_delta(mat: np.ndarray) -> float:
+    """delta / lambda of the Gram bound, written out from its statement:
+    delta = m eps lambda + gamma_n tr(G) / (1 - gamma_n), G the smaller Gram
+    matrix (size m) and n the inner dimension."""
+    small, inner = sorted(mat.shape)
+    gram = mat @ mat.T if mat.shape[0] == small else mat.T @ mat
+    lam = np.linalg.eigvalsh(gram)[-1]
+    eps = np.finfo(float).eps
+    gamma = (inner * eps / 2) / (1 - inner * eps / 2)
+    return (small * eps * lam + gamma * np.trace(gram) / (1 - gamma)) / lam
+
+
+@pytest.mark.parametrize("shape", [(40, 200), (200, 40), (1, 30), (30, 1)])
+@pytest.mark.parametrize("spread", [False, True], ids=["normal", "spread"])
+def test_gram_value_is_an_upper_bound_within_the_stated_delta(shape, spread):
+    # sigma_max <= value <= sigma_max (1 + delta / lambda), against LAPACK's
+    # 2-norm; the spread entries run over 1e-8 to 1e8.
+    rng = np.random.default_rng(shape[0] + 5 * shape[1])
+    mat = rng.standard_normal(shape)
+    if spread:
+        mat *= 10.0 ** rng.uniform(-8, 8, shape)
+    value, method = operator_norm_estimate(Dense(mat))
+    top = np.linalg.norm(mat, 2)
+    assert method == "gram"
+    assert top <= value <= top * (1 + _stated_delta(mat))
 

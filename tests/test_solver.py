@@ -14,6 +14,7 @@ from augdual.models import build_problem, tau_heuristic
 from augdual.oracle import dual_gradient, dual_objective, step
 from augdual.prox import NormSpec, soft_threshold
 from augdual.solver import (
+    PLAIN_STEP,
     ConfigurationError,
     ProblemSpec,
     SolveConfig,
@@ -47,11 +48,13 @@ def test_hand_iteration_scalar():
 
 
 def test_step_size_interval():
-    # The paper's interval (0, 2/L) with L = ||A||^2 = 4, and 1/L by default.
+    # The paper's interval (0, 2/L) with L = ||A||^2 = 4; by default
+    # PLAIN_STEP/L on the given bound, and 1/L when accelerated.
     p, _ = _l1_problem()
     upper = 2.0 / 2.0**2
-    assert step_size(p, SolveConfig(), 2.0) == (2.0, 1.0 / 2.0**2)
-    assert step_size(p, SolveConfig(h=0.5 * upper), 2.0) == (2.0, 0.5 * upper)
+    assert step_size(p, SolveConfig(), 2.0) == (2.0, PLAIN_STEP / 2.0**2, "given")
+    assert step_size(p, SolveConfig(accelerated=True), 2.0) == (2.0, 1.0 / 2.0**2, "given")
+    assert step_size(p, SolveConfig(h=0.5 * upper), 2.0) == (2.0, 0.5 * upper, "given")
     for bad in (0.0, -1.0, upper, 1.5 * upper, 10**5000):
         with pytest.raises(ConfigurationError, match="outside the admissible open interval"):
             step_size(p, SolveConfig(h=bad), 2.0)
@@ -60,7 +63,7 @@ def test_step_size_interval():
 def test_accelerated_step_cap():
     p, _ = _l1_problem()
     cap = 1.0 / 2.0**2
-    assert step_size(p, SolveConfig(h=cap, accelerated=True), 2.0) == (2.0, cap)
+    assert step_size(p, SolveConfig(h=cap, accelerated=True), 2.0) == (2.0, cap, "given")
     with pytest.raises(ConfigurationError, match="the 1/L bound"):
         step_size(p, SolveConfig(h=1.5 * cap, accelerated=True), 2.0)
 
@@ -162,12 +165,12 @@ def test_warm_start_resumes():
 def test_trace_records_bound_and_step():
     p, _ = _l1_problem()
     _, _, trace = solve(p, SolveConfig(primal_tol=1e-10))
-    assert (trace.norm_bound, trace.h) == step_size(p, SolveConfig())
+    assert (trace.norm_bound, trace.h, trace.norm_method) == step_size(p, SolveConfig())
     h = 0.5 / 2.0**2
     for accelerated in (False, True):
         _, _, trace = solve(p, SolveConfig(h=h, max_iter=5, accelerated=accelerated),
                             norm_bound=2.0)
-        assert (trace.norm_bound, trace.h) == (2.0, h)
+        assert (trace.norm_bound, trace.h, trace.norm_method) == (2.0, h, "given")
 
 
 def test_inconsistent_system_flags_suspected_infeasible():
@@ -302,7 +305,9 @@ def test_sparse_forward_map_keeps_the_iterates():
     ref = dataclasses.replace(p, op=_FullProductMap(p.op.matrix))
     config = SolveConfig(primal_tol=1e-6)
     x, _, trace = solve(p, config)
-    x_ref, _, trace_ref = solve(ref, config)
+    # The reference map has no certified bound: it takes the Dense's.
+    x_ref, _, trace_ref = solve(ref, config, norm_bound=trace.norm_bound)
+    assert trace.h == trace_ref.h
     assert trace.termination == trace_ref.termination == "feasibility_tol"
     assert len(trace.records) == len(trace_ref.records)
     assert (x - x_ref).norm() <= 1e-12 * x_ref.norm()
@@ -396,7 +401,7 @@ def test_solve_builds_a_fixed_number_of_points(spec, accelerated, monkeypatch):
     # Points a solve builds, whatever its iteration count, are the returned
     # pair (x, y).
     p = _small_problem(spec)
-    bound, _ = step_size(p, SolveConfig())
+    bound, _, _ = step_size(p, SolveConfig())
     built = 0
     post_init = Point.__post_init__
 
@@ -511,7 +516,7 @@ def test_carried_adjoint_keeps_the_textbook_iterates(spec):
     # For the sampling and block-sum operators, carrying A*y through the
     # loop gives the same bits as taking the adjoint of every iterate.
     p = _small_problem(spec)
-    bound, h = step_size(p, SolveConfig())
+    bound, h, _ = step_size(p, SolveConfig())
     iterations = 30
     x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14),
                         norm_bound=bound)
@@ -528,7 +533,7 @@ def test_carried_adjoint_keeps_the_accelerated_iterates(spec):
     # The same with momentum and restart, against the accelerated iteration
     # written out with one adjoint per gradient.
     p = _small_problem(spec)
-    bound, h = step_size(p, SolveConfig())
+    bound, h, _ = step_size(p, SolveConfig(accelerated=True))
     iterations = 40
     x, y, trace = solve(p, SolveConfig(max_iter=iterations, primal_tol=1e-14,
                                        accelerated=True), norm_bound=bound)
