@@ -391,6 +391,7 @@ def run_experiment(cfg: dict, base_dir=".") -> Tuple[dict, int]:
         "norm_bound": trace.norm_bound,
         "norm_method": trace.norm_method,
         "h": trace.h,
+        "restarts": trace.restarts,
     }
     if "trace" in out_cfg:
         emit_trace(trace, base / out_cfg["trace"])

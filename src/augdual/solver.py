@@ -5,10 +5,10 @@ smooth (K is the dual-norm ball, or the polar set for gauge problems); its
 gradient is -b + A(tau * prox(A*y/tau)). Plain gradient descent on D in
 primal-dual form is the linearized Bregman iteration for the l1 model and
 singular value thresholding for matrix completion. The accelerated variant
-adds Nesterov momentum with adaptive restart; both run in one loop. When b
-is outside the range of A, D is unbounded below and the residual r of the
-step y+ - w = h*r tends to a Farkas certificate, A*r -> 0 with <b, r> > 0;
-the loop stops on it (``suspected_infeasible``).
+adds momentum of coefficient 1 with gradient restart (see ``solve``); both
+run in one loop. When b is outside the range of A, D is unbounded below and
+the residual r of the step y+ - w = h*r tends to a Farkas certificate,
+A*r -> 0 with <b, r> > 0; the loop stops on it (``suspected_infeasible``).
 
 The step y+ = w + h(b - Ax) is linear in the dual variable, so the loop
 carries z = A*y alongside y: A*y+ = A*w + h(A*b - A*Ax), with A*b computed
@@ -89,7 +89,7 @@ class SolveConfig:
     (plain, on an upper bound on ||A||) or 1 / bound^2 (accelerated, or on a
     Lanczos estimate) when h is None, else h checked against the bound on
     ||A||. ``y0`` warm-starts the dual iterate (zero when None).
-    ``accelerated`` adds Nesterov momentum with adaptive restart.
+    ``accelerated`` adds momentum of coefficient 1 with gradient restart.
     """
 
     h: Optional[float] = None
@@ -124,9 +124,10 @@ class TraceRecord:
 
 
 class SolveTrace:
-    """Per-iteration trace, termination reason, and the bound on ||A||, its
-    method and the step h the solve used (the last four None on a trace read
-    back from CSV).
+    """Per-iteration trace, termination reason, the bound on ||A||, its
+    method, the step h the solve used, and ``restarts``, the number of
+    momentum resets (0 on a plain solve); the last five are None on a trace
+    read back from CSV.
 
     ``append`` fills typed buffers (40 bytes per iteration); ``records`` is
     a read-only sequence that builds a TraceRecord per row on access.
@@ -137,6 +138,7 @@ class SolveTrace:
         self.norm_bound: Optional[float] = None
         self.norm_method: Optional[str] = None
         self.h: Optional[float] = None
+        self.restarts: Optional[int] = None
         # One buffer per TraceRecord field, in field order.
         self._columns = (array("q"),) + tuple(array("d") for _ in range(4))
 
@@ -197,6 +199,8 @@ def step_size(p: ProblemSpec, c: SolveConfig,
     value is an upper bound and is used as is, and a "lanczos" estimate,
     which is not, is taken times 1.01; a zero value admits no step. A given
     ``norm_bound`` has method "given" and must be an upper bound on ||A||.
+    A bound whose square over- or underflows (outside about [1e-154, 1e154])
+    admits no finite positive step either; both are ConfigurationErrors.
     grad D is Lipschitz with L = bound^2. When c.h is None, h is
     PLAIN_STEP/L for a plain solve on an upper bound, and 1/L for an
     accelerated solve or a Lanczos estimate; a given c.h must lie in
@@ -205,16 +209,25 @@ def step_size(p: ProblemSpec, c: SolveConfig,
     if norm_bound is None:
         estimate, method = numerics.operator_norm_estimate(p.op)
         if estimate == 0.0:
-            raise ConfigurationError("the operator is zero: its estimated norm is 0")
+            raise ConfigurationError(
+                "the operator is zero, or its squared entries underflow: "
+                "its estimated norm is 0"
+            )
         norm_bound = estimate * 1.01 if method == "lanczos" else estimate
     else:
         method = "given"
     bound = _positive("norm_bound", norm_bound, ConfigurationError)
+    lipschitz = bound * bound
+    upper = 2.0 / lipschitz if lipschitz > 0.0 else math.inf
+    if not (0.0 < upper < math.inf):
+        raise ConfigurationError(
+            f"norm_bound {bound!r} ({method}) admits no step: 1/norm_bound^2 "
+            f"over- or underflows; rescale the operator and the data"
+        )
     if c.h is None:
         scale = 1.0 if c.accelerated or method == "lanczos" else PLAIN_STEP
-        return bound, scale / bound**2, method
-    cap = 1.0 / bound**2
-    upper = 2.0 / bound**2
+        return bound, scale / lipschitz, method
+    cap = 1.0 / lipschitz
     if not (0.0 < c.h < upper):
         raise ConfigurationError(
             f"step size h={_shown(c.h)} outside the admissible open interval "
@@ -255,16 +268,25 @@ def solve(
     certificate, a non-finite iterate, or budget.
 
     Each iteration takes a gradient step from w. Plain descent has w = y.
-    With ``c.accelerated``, w extrapolates the last two iterates (Nesterov
-    momentum), and the momentum resets whenever <grad D(w), y_next - y> > 0,
-    i.e. when it stops being a descent direction; the first step equals a
-    plain one. ``step_size`` gives the bound on ||A|| (``norm_bound``, which
-    must be an upper bound on ||A||; from ``numerics.operator_norm_estimate``
+    With ``c.accelerated``, w = y_next + (y_next - y), a momentum
+    coefficient of 1 (the greedy FISTA of Liang, Luo and Schoenlieb, SIAM
+    J. Sci. Comput. 2022), and the momentum resets, w = y_next, whenever
+    <grad D(w), y_next - y> > 0, i.e. when it stops being a descent
+    direction (the gradient restart of O'Donoghue and Candes, Found.
+    Comput. Math. 2015); ``trace.restarts`` counts the resets. The first
+    step equals a plain one. No O(1/k^2) rate is claimed: Nesterov's bound
+    holds for his coefficient sequence run without restarts, and a restarted
+    scheme, with that sequence or with coefficient 1, does not inherit it.
+    The step stays at most 1/L: at 1.6/L, both coefficient rules ran to the
+    iteration cap on nearly every completion instance tried, and Liang et
+    al. pair larger steps with a step-size safeguard that this loop does not
+    have. ``step_size`` gives the bound on ||A|| (``norm_bound``, which must
+    be an upper bound on ||A||; from ``numerics.operator_norm_estimate``
     when None), its method and the step h.
 
     Returns the last consistent primal-dual pair (x, y) with
     x = tau*prox(A*y/tau), and the per-iteration trace, which records
-    norm_bound, norm_method and h. Termination is feasibility_tol,
+    norm_bound, norm_method, h and restarts. Termination is feasibility_tol,
     suspected_infeasible (||A*r|| <= 1e-8 * norm_bound * ||r|| and
     <b, r> > 0: r certifies b outside range(A)), max_iter, or
     numerical_failure (the residual, x change or y change is not finite;
@@ -288,13 +310,13 @@ def solve(
         ax, atax = normal(x)
         return x, b - ax, atax
 
-    t = 1.0
     x_prev: Optional[np.ndarray] = None
     tol = c.primal_tol * max(1.0, p.b.norm())
     trace = SolveTrace()
     trace.norm_bound = norm_bound
     trace.norm_method = norm_method
     trace.h = h
+    trace.restarts = 0
     # A diverging solve overflows in norms and products before the
     # finiteness check below ends it; the termination reports that, so
     # numpy's overflow warnings would only be noise.
@@ -331,16 +353,16 @@ def solve(
                 trace.termination = "suspected_infeasible"
                 break
             z_next = z_w + g * h
-            if c.accelerated and not _dot(r, dy) < 0.0:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                beta = float((t - 1.0) / t_next)
-                w = y_next + dy * beta
-                z_w = z_next + (z_next - z_y) * beta
-                t = t_next
-            else:
-                w = y_next
-                z_w = z_next
-                t = 1.0
+            w = y_next
+            z_w = z_next
+            if c.accelerated:
+                # Restart once y_next - y stops being a descent direction;
+                # otherwise extrapolate with momentum coefficient 1.
+                if _dot(r, dy) < 0.0:
+                    trace.restarts += 1
+                else:
+                    w = y_next + dy
+                    z_w = z_next + (z_next - z_y)
             y = y_next
             z_y = z_next
             x_prev = x

@@ -167,6 +167,12 @@ def test_run_experiment_end_to_end(tmp_path, capsys, monkeypatch):
     assert stated == step_size(problem, SolveConfig())
     [solved] = traces
     assert stated == (solved.norm_bound, solved.h, solved.norm_method)
+    assert report["restarts"] == solved.restarts == 0
+    accelerated, _ = run_experiment(
+        _solve_cfg(solve={"primal_tol": 1e-10, "accelerated": True}),
+        base_dir=tmp_path / "accelerated",
+    )
+    assert accelerated["restarts"] == traces[-1].restarts > 0
 
 
 def test_reports_and_traces_are_byte_identical(tmp_path):
