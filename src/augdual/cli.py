@@ -68,6 +68,7 @@ _KIND_FIELDS = {
 }
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits: exact round trip for doubles
+_TRACE_HEADER = "k,primal_residual,dual_objective,x_change,y_change"
 
 
 def _object(value, what: str, known) -> dict:
@@ -77,7 +78,7 @@ def _object(value, what: str, known) -> dict:
         raise ConfigurationError(f"{what} must be an object, got {_shown(value)}")
     unknown = sorted(set(value).difference(known))
     if unknown:
-        raise ConfigurationError(f"unknown {what} fields: {unknown}")
+        raise ConfigurationError(f"unknown {what} fields: {_shown(unknown)}")
     return value
 
 
@@ -124,7 +125,7 @@ class InstanceSpec:
                 raise ValueError("rpca needs 1 <= k <= rows * cols")
             _positive("lam", self.lam)  # RpcaModel's rule: a spec is whole before gen
         else:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
+            raise ValueError(f"unknown instance kind {_shown(self.kind)}")
 
     @staticmethod
     def from_dict(d: dict) -> "InstanceSpec":
@@ -297,7 +298,7 @@ def load_instance(path) -> Tuple[object, Point]:
     if kind == "rpca":
         model = RpcaModel(D=load("D"), lam=meta["lam"])
         return model, Point.pair(*(load(key, model.D.shape, "D") for key in ("L0", "S0")))
-    raise ValueError(f"unknown stored model kind {kind!r}")
+    raise ValueError(f"unknown stored model kind {_shown(kind)}")
 
 
 def emit_trace(trace: SolveTrace, path):
@@ -305,7 +306,7 @@ def emit_trace(trace: SolveTrace, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write("k,primal_residual,dual_objective,x_change,y_change\n")
+        fh.write(_TRACE_HEADER + "\n")
         for rec in trace.records:
             fh.write(
                 f"{rec.k},{rec.primal_residual:.16e},{rec.dual_objective:.16e},"
@@ -318,7 +319,7 @@ def read_trace(path) -> SolveTrace:
     trace = SolveTrace()
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "k,primal_residual,dual_objective,x_change,y_change":
+        if header != _TRACE_HEADER:
             raise ValueError(f"unexpected trace header in {path}")
         for line in fh:
             k, pr, dobj, xc, yc = line.strip().split(",")
@@ -335,7 +336,7 @@ def _tau_from_config(cfg: dict, model, truth):
     if "value" in tau_cfg:
         return tau_cfg["value"]  # ProblemSpec checks it
     if tau_cfg["rule"] != "heuristic":
-        raise ConfigurationError(f"unknown tau rule {tau_cfg['rule']!r}")
+        raise ConfigurationError(f"unknown tau rule {_shown(tau_cfg['rule'])}")
     magnitude = float(np.max(np.abs(truth.data))) if isinstance(model, AugL1Model) else None
     return tau_heuristic(model, magnitude=magnitude)
 

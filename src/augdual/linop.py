@@ -346,22 +346,3 @@ class BlockSum(LinearOperator):
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         return np.array((y, y))
-
-
-def random_point(shape, rng: np.random.Generator) -> Point:
-    return Point(rng.standard_normal(shape))
-
-
-def adjoint_consistency_check(op: LinearOperator, trials: int, seed: int) -> float:
-    """Max relative gap of <Ax, y> - <x, A*y> over seeded random (x, y)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = random_point(op.domain_shape, rng).data
-        y = random_point(op.codomain_shape, rng).data
-        lhs = float(op._apply(x).ravel() @ y.ravel())
-        rhs = float(x.ravel() @ op._adjoint(y).ravel())
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst

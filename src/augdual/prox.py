@@ -2,10 +2,11 @@
 
 Catalog: l1 (optionally weighted), l2, linf, nuclear. Every function takes
 and returns numpy arrays: the vector norms act on all entries of an array of
-any shape, and the nuclear norm needs a 2-D array. The Moreau decomposition
-v = prox(v) + projection-onto-dual-ball(v) is exposed as an executable
-identity (moreau_residual), and singular value thresholding is provided
-both as the nuclear prox and as a standalone matrix operation.
+any shape, and the nuclear norm needs a 2-D array. The prox and the
+dual-ball projection obey the Moreau decomposition
+v = prox(v) + projection-onto-dual-ball(v), which the tests check through
+``moreau_residual`` in tests/reference.py. Singular value thresholding is
+provided both as the nuclear prox and as a standalone matrix operation.
 """
 
 from __future__ import annotations
@@ -135,13 +136,6 @@ def dual_ball_project(norm: NormSpec, v: np.ndarray, radius: float = 1.0) -> np.
         return project_l1_ball(v, radius)
     res = numerics.svd(_require_matrix(norm, v))
     return (res.u * np.minimum(res.s, radius)) @ res.v.T
-
-
-def moreau_residual(norm: NormSpec, v: np.ndarray, scale: float = 1.0) -> float:
-    """||v - prox_{scale*norm}(v) - proj_{scale*dual-ball}(v)||_2."""
-    p = prox_norm(norm, v, scale)
-    z = dual_ball_project(norm, v, radius=scale)
-    return float(np.linalg.norm(v - p - z))
 
 
 def svt(m, threshold: float) -> np.ndarray:

@@ -20,10 +20,11 @@ that solve. The loop runs on arrays, through that map and ``_adjoint``, and
 wraps only the returned pair in Points; its own finiteness check stands in
 for the one a Point makes. For the sampling and block-sum operators the
 carried z has the same bits as the adjoint that the reference iteration
-``oracle.step`` takes of every iterate. Elsewhere it drifts by rounding, so
-before every stop the loop recomputes A*w exactly (and, where the bits
-differ, x and the residual from it): every returned x is tau*prox(A*w/tau)
-of the exact adjoint, and a feasibility stop rests on the exact residual.
+(``step`` in tests/reference.py) takes of every iterate. Elsewhere it
+drifts by rounding, so before every stop the loop recomputes A*w exactly
+(and, where the bits differ, x and the residual from it): every returned x
+is tau*prox(A*w/tau) of the exact adjoint, and a feasibility stop rests on
+the exact residual.
 """
 
 from __future__ import annotations

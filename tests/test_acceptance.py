@@ -17,8 +17,8 @@ from augdual.models import (
     build_problem,
     tau_heuristic,
 )
-from augdual.oracle import dual_gradient, dual_objective, kkt_residual, l1_exact_solve, step
-from augdual.prox import NormSpec, moreau_residual, prox_norm, svt
+from augdual.oracle import kkt_residual
+from augdual.prox import NormSpec, prox_norm, svt
 from augdual.solver import (
     ConfigurationError,
     ProblemSpec,
@@ -26,6 +26,8 @@ from augdual.solver import (
     solve,
     step_size,
 )
+
+from reference import dual_gradient, dual_objective, l1_exact_solve, moreau_residual, step
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -406,7 +408,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
 def test_criterion_11_rates_at_the_default_step():
     # Plain descent at the default step h = PLAIN_STEP / b^2 of a certified
-    # bound b, written out by oracle.step for 3000 iterations on one instance
+    # bound b, written out by reference.step for 3000 iterations on one instance
     # per kind. Over gaps D(y_k) - D* above 1e-9 |D*|, k >= 1 (k = 0 meets
     # (a) with equality):
     # (a) the gap is within Nesterov's bound for h < 2/L (Introductory

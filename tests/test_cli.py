@@ -543,6 +543,34 @@ def test_main_names_an_integer_too_large_for_a_float(
     assert err.startswith("configuration error") and name in err
 
 
+LONG = "x" * 100_000  # a JSON string that no message should echo whole
+
+# As in _OVERSIZED: the document edited, the edit, the command and the name.
+_LONG_STRINGS = {
+    "unknown_field": ("config.json", lambda cfg: {**cfg, LONG: 1}, "solve",
+                      "unknown config fields"),
+    "instance_kind": ("spec.json", lambda spec: {**spec, "kind": LONG}, "gen",
+                      "unknown instance kind"),
+    "stored_model": ("inst/instance.json", lambda meta: {**meta, "model": LONG}, "solve",
+                     "unknown stored model kind"),
+    "tau_rule": ("config.json", lambda cfg: {**cfg, "tau": {"rule": LONG}}, "solve",
+                 "unknown tau rule"),
+}
+
+
+@pytest.mark.parametrize("document, edit, command, name", _LONG_STRINGS.values(),
+                         ids=_LONG_STRINGS)
+def test_main_cuts_a_long_string_it_echoes(document, edit, command, name, tmp_path, capsys):
+    args = _stored_solve(tmp_path)
+    path = tmp_path / document
+    _write_json(path, edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert main(args[command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and name in err
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize("seed", [-1, -10**5000], ids=["-1", "-10**5000"])
 def test_gen_rejects_a_negative_seed(seed, tmp_path, capsys):
     # numpy's own message ("expected non-negative integer") names no field.

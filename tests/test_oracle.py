@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
-from augdual.linop import Dense, Point
+from augdual.linop import Point
 from augdual.models import AugL1Model, build_problem
-from augdual.oracle import (
-    InfeasibleModelError,
-    KktReport,
-    kkt_residual,
-    l1_exact_solve,
-    prox_bruteforce,
-)
-from augdual.prox import NormSpec
+from augdual.oracle import kkt_residual
 from augdual.solver import SolveConfig, solve
+
+from reference import InfeasibleModelError, l1_exact_solve, prox_bruteforce
 
 
 def test_identity_instance_is_shrinkage():
@@ -42,6 +38,27 @@ def test_exact_solver_matches_iterative_on_random_instances():
         p = build_problem(AugL1Model(a, b, tau=tau))
         xs, _, _ = solve(p, SolveConfig(primal_tol=1e-12))
         assert (exact - xs).norm() <= 1e-6 * (1.0 + exact.norm())
+
+
+def test_exact_solver_reaches_its_linear_program(monkeypatch):
+    # On this instance the least-squares dual fails for some sign pattern,
+    # so the exact solver decides it by the LP; the result still matches
+    # the accelerated iterative solve.
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    rng = np.random.default_rng(0)
+    a, b, tau = rng.standard_normal((3, 8)), rng.standard_normal(3), 1.0
+    exact = l1_exact_solve(a, b, tau)
+    assert calls
+    p = build_problem(AugL1Model(a, b, tau=tau))
+    xs, _, _ = solve(p, SolveConfig(primal_tol=1e-12, accelerated=True))
+    assert (exact - xs).norm() <= 1e-6 * exact.norm()
 
 
 def test_exact_solver_rejects_large_n():

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from augdual.numerics import svd
-from augdual.oracle import prox_bruteforce
 from augdual.prox import (
     NormSpec,
     dual_ball_project,
     dual_norm_value,
-    moreau_residual,
     norm_value,
     project_l1_ball,
     prox_norm,
     soft_threshold,
 )
+
+from reference import moreau_residual, prox_bruteforce
 
 VECTOR_KINDS = ["l1", "l2", "linf"]
 

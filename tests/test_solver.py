@@ -12,7 +12,6 @@ import pytest
 from augdual.cli import InstanceSpec, generate_instance
 from augdual.linop import SPARSE_APPLY_FRACTION, Dense, LinearOperator, Point
 from augdual.models import build_problem, tau_heuristic
-from augdual.oracle import dual_gradient, dual_objective, step
 from augdual.prox import NormSpec, soft_threshold
 from augdual.solver import (
     PLAIN_STEP,
@@ -23,6 +22,8 @@ from augdual.solver import (
     solve,
     step_size,
 )
+
+from reference import dual_gradient, dual_objective, step
 
 
 def _l1_problem(seed=7, n=8, m=4, k=2):
@@ -512,15 +513,12 @@ if loaded:
 
 def test_cli_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy's import blocked,
-    # gen, solve and check exit 0 on every kind, plain and accelerated. Only
-    # the exact l1 reference solver needs scipy (its LP), and says so.
+    # gen, solve and check exit 0 on every kind, plain and accelerated.
     _run_python(f"""
 import json, sys
 from pathlib import Path
 sys.modules["scipy"] = None
-import numpy as np
 from augdual.cli import main
-from augdual.oracle import l1_exact_solve
 for i, spec in enumerate({_SCIPY_FREE_SPECS!r}):
     for accelerated in (False, True):
         out = Path({str(tmp_path)!r}) / f"{{i}}{{accelerated}}"
@@ -537,13 +535,6 @@ for i, spec in enumerate({_SCIPY_FREE_SPECS!r}):
             code = main([str(arg) for arg in argv])
             if code != 0:
                 sys.exit(f"{{argv}} exited {{code}}")
-rng = np.random.default_rng(0)
-try:
-    l1_exact_solve(rng.standard_normal((3, 8)), rng.standard_normal(3), 1.0)
-except ImportError as exc:
-    assert "augdual[test]" in str(exc), exc
-else:
-    sys.exit("l1_exact_solve did not need its LP")
 """)
 
 
